@@ -34,7 +34,6 @@ from .parity_polytope import (
     maximize_linear,
     membership,
     project_batch,
-    project_breakpoint_march,
     project_hypercube,
     project_parity_polytope,
     two_slice_decompose,
@@ -86,7 +85,6 @@ __all__ = [
     "parse_alist",
     "posterior_llrs",
     "project_batch",
-    "project_breakpoint_march",
     "project_hypercube",
     "project_parity_polytope",
     "run_point",

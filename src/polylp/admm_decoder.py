@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .codes import ParityCheckMatrix, is_codeword
+from .codes import ParityCheckMatrix, check_llrs, is_codeword
 from .parity_polytope import project_batch
 
 # An iterate further than this from {0, 1} in any coordinate is fractional.
@@ -160,11 +160,7 @@ def decode(
     replica-to-variable residual and the replica movement to fall below
     ``epsilon^2`` times the total edge count.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (code.n_vars,):
-        raise ValueError(f"expected a length-{code.n_vars} LLR vector")
-    if not np.all(np.isfinite(gamma)):
-        raise ValueError("LLR vector must be finite")
+    gamma = check_llrs(code, gamma)
     state = AdmmState.initial(code)
     threshold = config.epsilon**2 * code.n_edges
     status = STATUS_MAX_ITERS

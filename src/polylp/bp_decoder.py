@@ -14,7 +14,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .admm_decoder import DecodeOutput, STATUS_CONVERGED, STATUS_MAX_ITERS
-from .codes import ParityCheckMatrix, is_codeword
+from .codes import ParityCheckMatrix, check_llrs, is_codeword
 
 _ATANH_GUARD = 1.0 - 1e-15
 
@@ -63,11 +63,7 @@ def posterior_llrs(
     ``early_stop`` the loop exits once the hard decision satisfies every
     check and each bit is strictly decided (no exactly-zero belief).
     """
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (code.n_vars,):
-        raise ValueError(f"expected a length-{code.n_vars} LLR vector")
-    if not np.all(np.isfinite(gamma)):
-        raise ValueError("LLR vector must be finite")
+    gamma = check_llrs(code, gamma)
     ev = code.edge_var
     clip = config.llr_clip
     c2v = np.zeros(code.n_edges)

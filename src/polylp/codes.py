@@ -154,6 +154,16 @@ def is_codeword(code: ParityCheckMatrix, x: ArrayLike) -> bool:
     return not np.any(sums % 2)
 
 
+def check_llrs(code: ParityCheckMatrix, gamma: ArrayLike) -> NDArray[np.float64]:
+    """Validate a decoder's LLR input: a finite length-N vector, as floats."""
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.shape != (code.n_vars,):
+        raise ValueError(f"expected a length-{code.n_vars} LLR vector")
+    if not np.all(np.isfinite(gamma)):
+        raise ValueError("LLR vector must be finite")
+    return gamma
+
+
 def _tokens_of_line(lines: list[str], idx: int, label: str) -> list[int]:
     if idx >= len(lines):
         raise AlistParseError(f"line {idx + 1}: missing {label}")

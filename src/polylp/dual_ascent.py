@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .admm_decoder import DecodeOutput, STATUS_CONVERGED, STATUS_MAX_ITERS, make_output
-from .codes import ParityCheckMatrix
+from .codes import ParityCheckMatrix, check_llrs
 from .parity_polytope import maximize_linear
 
 
@@ -46,11 +46,7 @@ def decode_dual_ascent(
     Stops when the squared consensus residual drops below ``epsilon^2``
     times the total edge count, or at ``t_max``.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (code.n_vars,):
-        raise ValueError(f"expected a length-{code.n_vars} LLR vector")
-    if not np.all(np.isfinite(gamma)):
-        raise ValueError("LLR vector must be finite")
+    gamma = check_llrs(code, gamma)
     ev = code.edge_var
     lam = np.zeros(code.n_edges)
     threshold = config.epsilon**2 * code.n_edges

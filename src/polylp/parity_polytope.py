@@ -4,7 +4,8 @@ exact Euclidean projection, and linear maximization.
 The parity polytope ``PP_d`` is the convex hull of all even-weight binary
 vectors of length ``d``.  Projection onto it is the workhorse of the
 ADMM LP decoder: every check-node update is one projection.  The methods
-here run in O(d log d), dominated by a single descending sort.
+here run in O(d log d), dominated by a single sort; the batch kernel
+skips even that for rows that pass an O(d) cut test.
 """
 
 from __future__ import annotations
@@ -114,9 +115,8 @@ class ProjectionWorkspace:
     workspace, the fields describe the solved instance: the descending
     sort and permutation, hypercube projection, constituent parity ``r``,
     ``beta_max``, the merged activation breakpoints clipped to
-    ``[0, beta_max]``, the active-range trackers ``a``/``b`` (1-based,
-    only set by the incremental march), the running active sum ``V``, the
-    last evaluated line value ``Lambda``, and the located ``beta_opt``.
+    ``[0, beta_max]``, the last evaluated line value ``Lambda``, and the
+    located ``beta_opt``.
     """
 
     v_sorted: NDArray[np.float64] | None = None
@@ -125,9 +125,6 @@ class ProjectionWorkspace:
     r: int = 0
     beta_max: float = 0.0
     breakpoints: NDArray[np.float64] = field(default_factory=lambda: np.empty(0))
-    a: int = 0
-    b: int = 0
-    V: float = 0.0
     Lambda: float = 0.0
     beta_opt: float = 0.0
 
@@ -253,171 +250,61 @@ def project_parity_polytope(
     return out
 
 
-def project_breakpoint_march(
-    u: ArrayLike, workspace: ProjectionWorkspace | None = None
-) -> NDArray[np.float64]:
-    """Projection via the incremental breakpoint march.
-
-    Same contract as :func:`project_parity_polytope`, maintained as an
-    independent mechanism: it walks the activation breakpoints in
-    ascending order while updating the active range ``[a, b]`` and the
-    running sum ``V``, and solves the crossing segment in closed form.
-    Both implementations must agree to 1e-9.
-    """
-    u = _check_input(u)
-    d = u.size
-    perm = np.argsort(-u, kind="stable")
-    v = u[perm]
-    z_hat = np.clip(v, 0.0, 1.0)
-    r = even_floor(float(z_hat.sum()))
-
-    beta_opt = 0.0
-    beta_max = 0.0
-    breakpoints = np.empty(0)
-    a = 0
-    b = 0
-    run_v = 0.0
-    lam = 0.0
-    z_sorted = z_hat
-
-    if r < d:
-        fz = 2.0 * float(z_hat[: r + 1].sum()) - float(z_hat.sum())
-        lam = fz
-        beta_max = _beta_limit(v, r)
-        breakpoints = _merged_activation_breakpoints(v, r, beta_max)
-        if fz > r + PARITY_TOL and beta_max > 0.0:
-            # 1-based active range: a..r+1 among the large block,
-            # r+2..b among the small block.
-            a = 1 + int(np.count_nonzero(v[: r + 1] >= 1.0))
-            b = (r + 1) + int(np.count_nonzero(v[r + 1 :] > 0.0))
-            run_v = float(v[a - 1 : r + 1].sum() - v[r + 1 : b].sum())
-
-            # Tag each breakpoint with which side activates there.
-            tagged = sorted(
-                [(float(v[i] - 1.0), 0) for i in range(r + 1)]
-                + [(float(-v[i]), 1) for i in range(r + 1, d)]
-            )
-            tagged = [t for t in tagged if 0.0 <= t[0] <= beta_max]
-
-            prev_beta, prev_g, prev_n = 0.0, fz, b - a + 1
-            i = 0
-            crossed = False
-            while i < len(tagged):
-                beta = tagged[i][0]
-                while i < len(tagged) and tagged[i][0] == beta:
-                    if tagged[i][1] == 0:
-                        a -= 1
-                        run_v += v[a - 1]
-                    else:
-                        b += 1
-                        run_v -= v[b - 1]
-                    i += 1
-                n_act = b - a + 1
-                g = (a - 1) + run_v - beta * n_act
-                lam = g
-                if g <= r:
-                    # A crossing cannot sit on a flat segment; the guard
-                    # only protects against rounding drift.
-                    beta_opt = (
-                        prev_beta + (prev_g - r) / prev_n if prev_n > 0 else beta
-                    )
-                    crossed = True
-                    break
-                prev_beta, prev_g, prev_n = beta, g, n_act
-            if not crossed:
-                if prev_n > 0:
-                    beta_opt = min(prev_beta + (prev_g - r) / prev_n, beta_max)
-                else:
-                    beta_opt = beta_max
-            z_sorted = np.clip(v - beta_opt * _sign_pattern(d, r), 0.0, 1.0)
-
-    if workspace is not None:
-        workspace.v_sorted = v
-        workspace.perm = perm
-        workspace.z_hat = z_hat
-        workspace.r = r
-        workspace.beta_max = beta_max
-        workspace.breakpoints = breakpoints
-        workspace.a = a
-        workspace.b = b
-        workspace.V = run_v
-        workspace.Lambda = lam
-        workspace.beta_opt = beta_opt
-
-    out = np.empty(d)
-    out[perm] = z_sorted
-    return out
-
-
 def project_batch(values: ArrayLike) -> NDArray[np.float64]:
     """Row-wise parity-polytope projection of an (m, d) array.
 
-    Vectorizes the same breakpoint search across all rows; intended for
-    the per-check projections of a decoder iteration, where ``d`` is a
-    check degree (small).  Scratch memory is O(m * d^2).
+    Intended for the per-check projections of a decoder iteration, where
+    ``d`` is a check degree.  Every row first takes the O(d) cut test of
+    Zhang and Siegel: the odd-set facet that the hypercube projection
+    ``z_hat`` violates most is ``theta = (z_hat > 1/2)``, with its parity
+    fixed at the coordinate nearest 1/2, and a row that satisfies it with
+    no tolerance returns ``z_hat`` unchanged.  Only the other rows are
+    sorted and searched for ``beta_opt``, by a cumulative-slope walk over
+    the sorted kinks where the line value steepens.  Scratch memory is
+    O(m * d).
     """
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 2 or vals.shape[1] == 0:
         raise ValueError("project_batch expects an (m, d) array with d >= 1")
     if not np.all(np.isfinite(vals)):
         raise ValueError("projection input must be finite")
-    m, d = vals.shape
-    rows = np.arange(m)
-    order = np.argsort(-vals, axis=1, kind="stable")
-    v = vals[rows[:, None], order]
-    z_hat = np.minimum(np.maximum(v, 0.0), 1.0)
-    total = z_hat.sum(axis=1)
-    r = (2.0 * np.floor(total / 2.0)).astype(np.int64)
-    np.minimum(r, d, out=r)
-    r_lo = np.minimum(r, d - 1)
+    d = vals.shape[1]
+    out = np.minimum(np.maximum(vals, 0.0), 1.0)
 
-    sign = np.where(np.arange(d)[None, :] <= r_lo[:, None], 1.0, -1.0)
-    head = np.cumsum(z_hat, axis=1)[rows, r_lo]
-    fz = 2.0 * head - total
+    # Slack of the facet theta: sum(min(z, 1 - z)) - 1, less the cost of
+    # the parity fix when |theta| is even.
+    cost = np.minimum(out, 1.0 - out)
+    even = (out > 0.5).sum(axis=1) % 2 == 0
+    slack = cost.sum(axis=1) - 1.0 + np.where(even, 1.0 - 2.0 * cost.max(axis=1), 0.0)
+    bad = np.flatnonzero(slack < 0.0)
+    if bad.size == 0:
+        return out
 
-    v_r1 = v[rows, r_lo]
-    v_r2 = v[rows, np.minimum(r + 1, d - 1)]
-    beta_max = np.where(r <= d - 2, 0.5 * (v_r1 - v_r2), v_r1)
+    v = vals[bad]
+    k = np.arange(bad.size)
+    r = 2 * (out[bad].sum(axis=1) // 2).astype(np.intp)
+    asc = np.sort(v, axis=1)
+    # r <= d - 1 here: a row with r = d is the all-ones vertex, which
+    # passes the cut test.  A tie with the (r+1)-th largest entry v_r that
+    # gives f_r extra +1 entries also makes beta_max = 0, so beta = 0.
+    top = d - 1 - r
+    v_r = asc[k, top]
+    beta_max = np.where(top > 0, 0.5 * (v_r - asc[k, top - 1]), v_r)
+    sign = np.where(v >= v_r[:, None], 1.0, -1.0)
 
-    done = (r >= d) | (fz <= r + PARITY_TOL) | (beta_max <= 0.0)
-    cap = np.where(done, 0.0, beta_max)
-
-    # All kinks per row: activations and saturations on both blocks.
-    grid = np.empty((m, 2 * d + 2))
-    grid[:, 0] = 0.0
-    grid[:, 1 : d + 1] = np.where(sign > 0, v - 1.0, -v)
-    grid[:, d + 1 : 2 * d + 1] = np.where(sign > 0, v, 1.0 - v)
-    grid[:, 2 * d + 1] = cap
-    capcol = cap[:, None]
-    np.minimum(np.maximum(grid, 0.0), capcol, out=grid)
-    grid.sort(axis=1)
-
-    z_grid = v[:, None, :] - grid[:, :, None] * sign[:, None, :]
-    np.minimum(np.maximum(z_grid, 0.0, out=z_grid), 1.0, out=z_grid)
-    g = np.einsum("ijk,ik->ij", z_grid, sign)
-
-    hit = g <= r[:, None]
-    idx = np.argmax(hit, axis=1)
-    missed = idx == 0  # row 0 is beta = 0, never a hit unless masked as done
-    np.maximum(idx, 1, out=idx)
-
-    b0 = grid[rows, idx - 1]
-    b1 = grid[rows, idx]
-    g0 = g[rows, idx - 1]
-    g1 = g[rows, idx]
-    span = g0 - g1
-    safe = span > 0.0
-    beta = np.where(
-        missed,
-        cap,
-        np.where(safe, b0 + (g0 - r) * (b1 - b0) / np.where(safe, span, 1.0), b1),
-    )
-
+    # g(beta) = f_r . clip(v - beta * f_r, 0, 1) equals r + 1 minus a sum
+    # of unit ramps clip(beta - s_i, 0, 1).  The first ramp saturates at
+    # min(s) + 1, where the sum already reaches 1, so the root g = r lies
+    # before any ramp saturates: walk the sorted starts s_i, where the
+    # slope of the sum steps up by one, integrating it to each start.
+    starts = np.sort(np.where(sign > 0.0, v - 1.0, -v), axis=1)
+    ramps = np.zeros(starts.shape)
+    np.cumsum(np.diff(starts, axis=1) * np.arange(1, d), axis=1, out=ramps[:, 1:])
+    n = (ramps < 1.0).sum(axis=1)
+    beta = starts[k, n - 1] + (1.0 - ramps[k, n - 1]) / n
+    beta = np.minimum(np.maximum(beta, 0.0), beta_max)
     z = v - beta[:, None] * sign
-    np.minimum(np.maximum(z, 0.0, out=z), 1.0, out=z)
-    z = np.where(done[:, None], z_hat, z)
-    out = np.empty_like(z)
-    out[rows[:, None], order] = z
+    out[bad] = np.minimum(np.maximum(z, 0.0), 1.0)
     return out
 
 

@@ -1,15 +1,17 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is brute force or delegates to a generic solver: vertex
-enumeration, a hull-projection QP with an optimality certificate, GF(2)
-codebook enumeration, exhaustive marginalization, and the decoding LP
-solved over the explicit facet description.  None of it shares code
-paths with the package under test.
+Everything here is brute force, a scalar loop, or delegates to a generic
+solver: vertex enumeration, a hull-projection QP with an optimality
+certificate, the incremental breakpoint march, GF(2) codebook
+enumeration, exhaustive marginalization, and the decoding LP solved over
+the explicit facet description.  None of it shares code paths with the
+package under test.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 from scipy.optimize import linprog, nnls
@@ -52,6 +54,80 @@ def hull_membership(u: np.ndarray, vertices: np.ndarray) -> bool:
     res = linprog(np.zeros(nv), A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * nv,
                   method="highs")
     return res.status == 0
+
+
+def project_breakpoint_march(u: np.ndarray) -> np.ndarray:
+    """Parity-polytope projection via the incremental breakpoint march.
+
+    An independent second implementation of the projection, as a scalar
+    loop: after a descending sort it walks the activation breakpoints in
+    ascending order while updating the active range ``[a, b]`` and the
+    running sum ``V``, and solves the crossing segment in closed form.
+    The package's projections must agree with it to 1e-9.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 1 or u.size == 0:
+        raise ValueError("projection expects a non-empty 1-D vector")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("projection input must be finite")
+    d = u.size
+    perm = np.argsort(-u, kind="stable")
+    v = u[perm]
+    z_sorted = np.clip(v, 0.0, 1.0)
+    r = 2 * math.floor(float(z_sorted.sum()) / 2.0)
+
+    if r < d:
+        fz = 2.0 * float(z_sorted[: r + 1].sum()) - float(z_sorted.sum())
+        beta_max = 0.5 * (v[r] - v[r + 1]) if r <= d - 2 else float(v[r])
+        if fz > r + 1e-9 and beta_max > 0.0:
+            # 1-based active range: a..r+1 among the large block,
+            # r+2..b among the small block.
+            a = 1 + int(np.count_nonzero(v[: r + 1] >= 1.0))
+            b = (r + 1) + int(np.count_nonzero(v[r + 1 :] > 0.0))
+            run_v = float(v[a - 1 : r + 1].sum() - v[r + 1 : b].sum())
+
+            # Tag each breakpoint with which side activates there.
+            tagged = sorted(
+                [(float(v[i] - 1.0), 0) for i in range(r + 1)]
+                + [(float(-v[i]), 1) for i in range(r + 1, d)]
+            )
+            tagged = [t for t in tagged if 0.0 <= t[0] <= beta_max]
+
+            prev_beta, prev_g, prev_n = 0.0, fz, b - a + 1
+            i = 0
+            crossed = False
+            while i < len(tagged):
+                beta = tagged[i][0]
+                while i < len(tagged) and tagged[i][0] == beta:
+                    if tagged[i][1] == 0:
+                        a -= 1
+                        run_v += v[a - 1]
+                    else:
+                        b += 1
+                        run_v -= v[b - 1]
+                    i += 1
+                n_act = b - a + 1
+                g = (a - 1) + run_v - beta * n_act
+                if g <= r:
+                    # A crossing cannot sit on a flat segment; the guard
+                    # only protects against rounding drift.
+                    beta_opt = (
+                        prev_beta + (prev_g - r) / prev_n if prev_n > 0 else beta
+                    )
+                    crossed = True
+                    break
+                prev_beta, prev_g, prev_n = beta, g, n_act
+            if not crossed:
+                if prev_n > 0:
+                    beta_opt = min(prev_beta + (prev_g - r) / prev_n, beta_max)
+                else:
+                    beta_opt = beta_max
+            sign = np.where(np.arange(d) <= r, 1.0, -1.0)
+            z_sorted = np.clip(v - beta_opt * sign, 0.0, 1.0)
+
+    out = np.empty(d)
+    out[perm] = z_sorted
+    return out
 
 
 def maximize_by_enumeration(c: np.ndarray) -> float:

@@ -5,6 +5,9 @@ from polylp import (
     AlistParseError,
     CodeGenerationError,
     ParityCheckMatrix,
+    decode,
+    decode_bp,
+    decode_dual_ascent,
     emit_alist,
     gen_regular_ldpc,
     is_codeword,
@@ -154,3 +157,19 @@ class TestIsCodeword:
         h = ParityCheckMatrix.from_dense([[1, 1, 1, 1]])
         with pytest.raises(ValueError):
             is_codeword(h, np.array([1, 0, 0]))
+
+
+@pytest.mark.parametrize("decoder", [decode, decode_bp, decode_dual_ascent])
+@pytest.mark.parametrize(
+    "gamma,message",
+    [
+        (np.ones(2), "expected a length-3 LLR vector"),
+        (np.ones((3, 1)), "expected a length-3 LLR vector"),
+        (np.array([0.5, np.nan, 1.0]), "LLR vector must be finite"),
+        (np.array([0.5, -np.inf, 1.0]), "LLR vector must be finite"),
+    ],
+)
+def test_decoders_share_one_llr_check(decoder, gamma, message):
+    code = ParityCheckMatrix.from_dense([[1, 1, 1]])
+    with pytest.raises(ValueError, match=message):
+        decoder(gamma, code)

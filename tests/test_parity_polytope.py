@@ -9,12 +9,16 @@ from polylp import (
     maximize_linear,
     membership,
     project_batch,
-    project_breakpoint_march,
     project_hypercube,
     project_parity_polytope,
     two_slice_decompose,
 )
-from oracles import even_weight_vertices, hull_membership, hull_project
+from oracles import (
+    even_weight_vertices,
+    hull_membership,
+    hull_project,
+    project_breakpoint_march,
+)
 
 PROJECTORS = [project_parity_polytope, project_breakpoint_march]
 
@@ -198,11 +202,17 @@ class TestProjection:
 
     def test_batch_equals_single(self):
         rng = np.random.default_rng(3)
-        for d in range(1, 11):
+        for d in [*range(1, 11), 20, 32, 64]:
+            odd = rng.integers(0, 2, size=(100, d))
+            odd[:, 0] ^= 1 - odd.sum(axis=1) % 2  # odd-weight vertices
             mats = np.concatenate(
                 [
                     rng.uniform(-2, 3, size=(300, d)),
                     rng.integers(-1, 3, size=(100, d)).astype(float),
+                    np.round(rng.uniform(-1, 2, size=(100, d)) * 4) / 4,
+                    odd + rng.normal(0.0, 0.5 / d, size=(100, d)),
+                    np.where(rng.random((100, d)) < 0.3, 1e6, 1.0)
+                    * rng.uniform(-1, 1, size=(100, d)),
                 ]
             )
             zb = project_batch(mats)

@@ -1,0 +1,123 @@
+"""Property-based tests of the batch projection and its cut test.
+
+Rows are drawn to be adversarial: ties at 0, 1/2 and 1, exact 0/1
+entries, constant rows, degrees 1 and 2, and entries near +-1e6 and far
+beyond.  Every property compares ``project_batch`` with an independent
+mechanism: membership, odd-set facet enumeration, the scalar breakpoint
+march, or the hull QP.
+"""
+
+import itertools
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from polylp import membership, project_batch
+from oracles import even_weight_vertices, hull_project, project_breakpoint_march
+
+# Fixed examples and no example database, so every run tries the same rows.
+FIXED = settings(derandomize=True, database=None, deadline=None)
+
+SPECIAL = st.sampled_from([0.0, 0.5, 1.0, -0.0, 0.25, 0.75, -1.0, 2.0])
+MODERATE = st.floats(-3.0, 4.0)
+NEAR_1E6 = st.sampled_from([1e6, -1e6]).flatmap(
+    lambda c: st.floats(-2.0, 2.0).map(lambda t: c + t)
+)
+HUGE = st.floats(-1e300, 1e300).filter(lambda x: abs(x) >= 1e7)
+
+
+def rows(entries, max_d):
+    """A row of 1..max_d entries, or a constant row of one entry."""
+    free = st.integers(1, max_d).flatmap(lambda d: st.lists(entries, min_size=d, max_size=d))
+    constant = st.tuples(entries, st.integers(1, max_d)).map(lambda t: [t[0]] * t[1])
+    return st.one_of(free, constant).map(lambda r: np.array(r, dtype=float))
+
+
+def project_row(u):
+    return project_batch(u[None, :])[0]
+
+
+def max_facet_violation(z):
+    """max over odd subsets S of f_S . z - (|S| - 1), by enumeration."""
+    worst = -np.inf
+    for mask in itertools.product((0, 1), repeat=z.size):
+        if sum(mask) % 2:
+            f = np.where(np.array(mask) == 1, 1.0, -1.0)
+            worst = max(worst, float(f @ z) - (sum(mask) - 1))
+    return worst
+
+
+BOUNDED = rows(st.one_of(SPECIAL, MODERATE, NEAR_1E6), 12)
+
+
+@settings(FIXED, max_examples=400)
+@given(BOUNDED)
+def test_cut_test_passes_exactly_the_rows_inside(u):
+    # z_hat comes back bit for bit when every odd-set facet holds, and
+    # only then; a row on a facet to rounding may take either path.
+    z_hat = np.clip(u, 0.0, 1.0)
+    z = project_row(u)
+    unchanged = np.array_equal(z, z_hat)
+    if unchanged:
+        assert membership(z_hat)
+    if membership(z_hat):
+        assert np.abs(z - z_hat).max() <= 1e-9
+    if u.size <= 10:
+        violation = max_facet_violation(z_hat)
+        if violation < -1e-12:
+            assert unchanged
+        elif violation > 1e-12:
+            assert not unchanged
+
+
+@settings(FIXED, max_examples=400)
+@given(BOUNDED)
+def test_agrees_with_breakpoint_march(u):
+    z = project_row(u)
+    assert np.abs(z - project_breakpoint_march(u)).max() <= 1e-9
+    assert membership(z, 1e-9)
+
+
+@settings(FIXED, max_examples=150)
+@given(rows(st.one_of(SPECIAL, MODERATE), 10))
+def test_agrees_with_hull_qp(u):
+    # z is the projection iff (u - z) . (w - z) <= 0 for every vertex w.
+    verts = even_weight_vertices(u.size)
+    z = project_row(u)
+    assert membership(z, 1e-9)
+    assert float((verts @ (u - z)).max() - (u - z) @ z) <= 1e-9
+    # The QP's penalty solve can stall on tie-heavy rows; compare only
+    # where the oracle certifies its own answer.
+    zo = hull_project(u, verts, certify=False)
+    assume(float((verts @ (u - zo)).max() - (u - zo) @ zo) <= 1e-7)
+    assert np.abs(z - zo).max() <= 1e-6
+
+
+@settings(FIXED, max_examples=300)
+@given(rows(st.one_of(SPECIAL, MODERATE, HUGE), 12))
+def test_huge_entries_stay_within_their_rounding(u):
+    # Beyond ~1e6 no double-precision projection is exact to 1e-9: a
+    # fractional output coordinate is a difference of entries this large.
+    # The output stays in the box, and near the polytope and the march by
+    # a few units in the last place of the largest entry.
+    z = project_row(u)
+    tol = 1e-9 + 16.0 * np.finfo(float).eps * np.abs(u).max()
+    assert np.all(np.isfinite(z)) and np.all((z >= 0.0) & (z <= 1.0))
+    assert membership(z, tol)
+    assert np.abs(z - project_breakpoint_march(u)).max() <= tol
+
+
+@settings(FIXED, max_examples=100)
+@given(st.integers(1, 8).flatmap(
+    lambda d: st.lists(
+        st.lists(st.one_of(SPECIAL, MODERATE, NEAR_1E6), min_size=d, max_size=d),
+        min_size=1,
+        max_size=20,
+    )
+))
+def test_rows_are_independent(batch):
+    values = np.array(batch, dtype=float)
+    whole = project_batch(values)
+    for i, u in enumerate(values):
+        assert np.array_equal(whole[i], project_row(u))
