@@ -4,7 +4,7 @@ and Monte-Carlo channel sweeps.
 Exit status is 0 on success, 1 on a usage error (bad flags or flag
 values), and 2 on a runtime failure (missing files, malformed inputs).
 Flag values beat an optional key=value config file, which beats the
-built-in defaults.
+defaults; the decoder flags default to the decoder configs' defaults.
 """
 
 from __future__ import annotations
@@ -13,18 +13,19 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .admm_decoder import AdmmConfig, DecodeOutput, decode
-from .bp_decoder import BpConfig, decode_bp
+from .admm_decoder import AdmmConfig, DecodeOutput
+from .bp_decoder import BpConfig
 from .channels import Awgn, Bsc, ChannelModel
-from .codes import gen_regular_ldpc, emit_alist, parse_alist
-from .dual_ascent import DualAscentConfig, decode_dual_ascent
+from .codes import check_llrs, gen_regular_ldpc, emit_alist, parse_alist
+from .dual_ascent import DualAscentConfig
 from .parity_polytope import ProjectionWorkspace, project_parity_polytope
-from .simulator import DecoderRef, stats_to_csv, sweep
+from .simulator import ALGORITHMS, DECODERS, DecoderRef, stats_to_csv, sweep
 
 
 class UsageError(Exception):
@@ -38,56 +39,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-# Config-file keys accepted per subcommand, with their converters.
-_CONFIG_KEYS = {
-    "gen-code": {"n": int, "dv": int, "dc": int, "seed": int},
-    "decode": {
-        "algo": str,
-        "mu": float,
-        "epsilon": float,
-        "tmax": int,
-        "rho": float,
-        "step": float,
-        "llr_clip": float,
-    },
-    "project": {},
-    "simulate": {
-        "decoder": str,
-        "mu": float,
-        "epsilon": float,
-        "tmax": int,
-        "rho": float,
-        "step": float,
-        "llr_clip": float,
-        "trials": int,
-        "target_errors": int,
-        "max_trials": int,
-        "seed": int,
-        "workers": int,
-        "rate": float,
-    },
-}
+def _config_flags(path: str) -> list[str]:
+    """Read a config file of ``key=value`` lines as ``--key=value`` flags.
 
-
-def _load_config(path: str, subcommand: str) -> dict:
-    known = _CONFIG_KEYS[subcommand]
-    values = {}
-    text = Path(path).read_text()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    Blank lines and ``#`` comments are skipped, and underscores in a key
+    become dashes, so any long flag of the subcommand that takes a value
+    may appear.
+    """
+    flags = []
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, sep, value = line.partition("=")
+        if not sep:
             raise UsageError(f"{path}:{lineno}: expected key=value")
-        key, _, val = line.partition("=")
-        key = key.strip().replace("-", "_")
-        if key not in known:
-            raise UsageError(f"{path}:{lineno}: unknown key {key!r} for {subcommand}")
-        try:
-            values[key] = known[key](val.strip())
-        except ValueError as exc:
-            raise UsageError(f"{path}:{lineno}: bad value for {key!r}") from exc
-    return values
+        flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return flags
 
 
 def _default_workers() -> int:
@@ -95,12 +63,20 @@ def _default_workers() -> int:
 
 
 def _add_decoder_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mu", type=float, default=3.0, help="ADMM penalty parameter")
-    p.add_argument("--epsilon", type=float, default=1e-5, help="stopping tolerance")
-    p.add_argument("--tmax", type=int, default=1000, help="maximum iterations")
-    p.add_argument("--rho", type=float, default=1.9, help="over-relaxation parameter")
-    p.add_argument("--step", type=float, default=0.1, help="dual-ascent step size")
-    p.add_argument("--llr-clip", type=float, default=30.0, help="BP saturation (nats)")
+    # Defaults come from the decoder configs; --epsilon and --tmax are
+    # shared, and every config defaults them alike.
+    p.add_argument("--mu", type=float, default=AdmmConfig.mu,
+                   help="ADMM penalty parameter")
+    p.add_argument("--epsilon", type=float, default=AdmmConfig.epsilon,
+                   help="stopping tolerance")
+    p.add_argument("--tmax", dest="t_max", metavar="TMAX", type=int,
+                   default=AdmmConfig.t_max, help="maximum iterations")
+    p.add_argument("--rho", type=float, default=AdmmConfig.rho,
+                   help="over-relaxation parameter")
+    p.add_argument("--step", type=float, default=DualAscentConfig.step,
+                   help="dual-ascent step size")
+    p.add_argument("--llr-clip", type=float, default=BpConfig.llr_clip,
+                   help="BP saturation (nats)")
 
 
 def build_parser() -> _Parser:
@@ -127,7 +103,7 @@ def build_parser() -> _Parser:
     p.add_argument("--code", required=True, help="alist file of the code")
     p.add_argument("--llr", required=True,
                    help="LLR vector: inline whitespace-separated or a file path")
-    p.add_argument("--algo", choices=["admm", "bp", "dual-ascent"], default="admm")
+    p.add_argument("--algo", choices=ALGORITHMS, default=DecoderRef.algo)
     _add_decoder_flags(p)
     p.add_argument("--out", help="JSON output path (default stdout)")
     p.add_argument("--config", help="key=value config file")
@@ -150,7 +126,7 @@ def build_parser() -> _Parser:
                    help="comma-separated channel parameters (p or Eb/N0 dB)")
     p.add_argument("--rate", type=float, default=None,
                    help="code rate for AWGN (default: design rate)")
-    p.add_argument("--decoder", choices=["admm", "bp", "dual-ascent"], default="admm")
+    p.add_argument("--decoder", choices=ALGORITHMS, default=DecoderRef.algo)
     _add_decoder_flags(p)
     p.add_argument("--trials", type=int, default=None, help="fixed trials per point")
     p.add_argument("--target-errors", type=int, default=None,
@@ -185,18 +161,13 @@ def _read_code(path: str):
 
 
 def _decoder_ref(algo: str, args: argparse.Namespace) -> DecoderRef:
+    """The decoder ``algo``, configured from the flags named like its fields."""
+    cls = DECODERS[algo]
+    values = {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
     try:
-        if algo == "admm":
-            cfg = AdmmConfig(mu=args.mu, epsilon=args.epsilon,
-                             t_max=args.tmax, rho=args.rho)
-        elif algo == "bp":
-            cfg = BpConfig(t_max=args.tmax, llr_clip=args.llr_clip)
-        else:
-            cfg = DualAscentConfig(step=args.step, t_max=args.tmax,
-                                   epsilon=args.epsilon)
+        return DecoderRef(algo, cls(**values))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return DecoderRef(algo=algo, config=cfg)
 
 
 def _cmd_gen_code(args: argparse.Namespace) -> int:
@@ -222,25 +193,12 @@ def _output_json(out: DecodeOutput) -> str:
 
 def _cmd_decode(args: argparse.Namespace) -> int:
     code = _read_code(args.code)
-    if os.path.exists(args.llr):
-        gamma_text = Path(args.llr).read_text()
-    else:
-        gamma_text = args.llr
+    gamma_text = Path(args.llr).read_text() if os.path.exists(args.llr) else args.llr
     try:
-        gamma = np.array([float(t) for t in gamma_text.split()])
+        gamma = check_llrs(code, [float(t) for t in gamma_text.split()])
     except ValueError as exc:
-        raise UsageError(f"cannot parse LLR vector: {exc}") from exc
-    if gamma.size != code.n_vars:
-        raise UsageError(
-            f"LLR vector has {gamma.size} entries, code length is {code.n_vars}"
-        )
-    ref = _decoder_ref(args.algo, args)
-    if args.algo == "admm":
-        out = decode(gamma, code, ref.config)
-    elif args.algo == "bp":
-        out = decode_bp(gamma, code, ref.config)
-    else:
-        out = decode_dual_ascent(gamma, code, ref.config)
+        raise UsageError(f"--llr: {exc}") from exc
+    out = _decoder_ref(args.algo, args).bind(code)(gamma)
     _write(_output_json(out), args.out)
     return 0
 
@@ -280,6 +238,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if (args.trials is None) == (args.target_errors is None):
         raise UsageError("give exactly one of --trials or --target-errors")
     workers = args.workers if args.workers is not None else _default_workers()
+    if workers < 1:
+        raise UsageError(f"workers must be at least 1, got {workers}")
     ref = _decoder_ref(args.decoder, args)
     stats = sweep(
         code,
@@ -300,18 +260,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            # The file's flags go first, so the command line's win.
+            args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        if getattr(args, "config", None):
-            overrides = _load_config(args.config, args.subcommand)
-            # Flags given on the command line win over the config file.
-            given = {a.split("=", 1)[0].lstrip("-").replace("-", "_")
-                     for a in argv if a.startswith("--")}
-            for key, value in overrides.items():
-                if key not in given:
-                    setattr(args, key, value)
-        return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"polylp {args.subcommand}: error: {exc}\n")
         return 1

@@ -113,19 +113,16 @@ class ProjectionWorkspace:
 
     Owned by a single caller at a time.  After a call that received this
     workspace, the fields describe the solved instance: the descending
-    sort and permutation, hypercube projection, constituent parity ``r``,
-    ``beta_max``, the merged activation breakpoints clipped to
-    ``[0, beta_max]``, the last evaluated line value ``Lambda``, and the
+    sort and permutation, constituent parity ``r``, ``beta_max``, the
+    merged activation breakpoints clipped to ``[0, beta_max]``, and the
     located ``beta_opt``.
     """
 
     v_sorted: NDArray[np.float64] | None = None
     perm: NDArray[np.intp] | None = None
-    z_hat: NDArray[np.float64] | None = None
     r: int = 0
     beta_max: float = 0.0
     breakpoints: NDArray[np.float64] = field(default_factory=lambda: np.empty(0))
-    Lambda: float = 0.0
     beta_opt: float = 0.0
 
 
@@ -208,11 +205,9 @@ def project_parity_polytope(
     beta_opt = 0.0
     beta_max = 0.0
     breakpoints = np.empty(0)
-    lam = 0.0
     z_sorted = z_hat
     if r < d:
         fz = 2.0 * float(z_hat[: r + 1].sum()) - float(z_hat.sum())
-        lam = fz
         beta_max = _beta_limit(v, r)
         breakpoints = _merged_activation_breakpoints(v, r, beta_max)
         if fz > r + PARITY_TOL and beta_max > 0.0:
@@ -227,22 +222,18 @@ def project_parity_polytope(
             idx = int(np.argmax(hit))
             if not hit[idx]:
                 beta_opt = beta_max
-                lam = float(g[-1])
             else:
                 b0, b1 = grid[idx - 1], grid[idx]
                 g0, g1 = g[idx - 1], g[idx]
                 beta_opt = b0 + (g0 - r) * (b1 - b0) / (g0 - g1) if g0 > g1 else b1
-                lam = float(g1)
             z_sorted = np.clip(v - beta_opt * _sign_pattern(d, r), 0.0, 1.0)
 
     if workspace is not None:
         workspace.v_sorted = v
         workspace.perm = perm
-        workspace.z_hat = z_hat
         workspace.r = r
         workspace.beta_max = beta_max
         workspace.breakpoints = breakpoints
-        workspace.Lambda = lam
         workspace.beta_opt = beta_opt
 
     out = np.empty(d)

@@ -14,7 +14,7 @@ import enum
 import io
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,29 +47,38 @@ CSV_COLUMNS = [
     "seed",
 ]
 
-ALGORITHMS = ("admm", "bp", "dual-ascent")
+# The decoders by name, each with the config class it takes.
+DECODERS = {"admm": AdmmConfig, "bp": BpConfig, "dual-ascent": DualAscentConfig}
+ALGORITHMS = tuple(DECODERS)
 
 
 @dataclass(frozen=True)
 class DecoderRef:
-    """Picklable decoder selection: algorithm name plus its config."""
+    """Picklable decoder selection: algorithm name plus its config.
+
+    ``config`` must be an instance of ``DECODERS[algo]``; ``None`` means
+    that class's defaults.
+    """
 
     algo: str = "admm"
     config: AdmmConfig | BpConfig | DualAscentConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.algo not in ALGORITHMS:
+        if self.algo not in DECODERS:
             raise ValueError(f"unknown decoder {self.algo!r}; use one of {ALGORITHMS}")
+        expected = DECODERS[self.algo]
+        if self.config is not None and not isinstance(self.config, expected):
+            raise ValueError(
+                f"decoder {self.algo!r} takes a {expected.__name__}, "
+                f"not a {type(self.config).__name__}"
+            )
 
     def bind(self, code: ParityCheckMatrix) -> Callable[[NDArray[np.float64]], DecodeOutput]:
-        if self.algo == "admm":
-            cfg = self.config if self.config is not None else AdmmConfig()
-            return lambda g: decode(g, code, cfg)
-        if self.algo == "bp":
-            cfg = self.config if self.config is not None else BpConfig()
-            return lambda g: decode_bp(g, code, cfg)
-        cfg = self.config if self.config is not None else DualAscentConfig()
-        return lambda g: decode_dual_ascent(g, code, cfg)
+        # Read from the module globals per bind, so a wrapper installed on
+        # them is used.
+        fn = {"admm": decode, "bp": decode_bp, "dual-ascent": decode_dual_ascent}[self.algo]
+        cfg = self.config if self.config is not None else DECODERS[self.algo]()
+        return lambda g: fn(g, code, cfg)
 
 
 class MlOutcome(enum.Enum):
@@ -133,25 +142,6 @@ class TrialStats:
     def ber(self) -> float:
         return self.bit_errors / (self.trials * self.n_vars) if self.trials else 0.0
 
-    def merge(self, other: "TrialStats") -> "TrialStats":
-        if (self.decoder_id, self.channel_kind, self.channel_param) != (
-            other.decoder_id,
-            other.channel_kind,
-            other.channel_param,
-        ):
-            raise ValueError("cannot merge stats from different runs")
-        return replace(
-            self,
-            trials=self.trials + other.trials,
-            word_errors=self.word_errors + other.word_errors,
-            bit_errors=self.bit_errors + other.bit_errors,
-            iter_sum_correct=self.iter_sum_correct + other.iter_sum_correct,
-            iter_sum_erroneous=self.iter_sum_erroneous + other.iter_sum_erroneous,
-            time_sum_correct=self.time_sum_correct + other.time_sum_correct,
-            time_sum_erroneous=self.time_sum_erroneous + other.time_sum_erroneous,
-            ml_errors=self.ml_errors + other.ml_errors,
-        )
-
 
 # One decoded trial: (word_error, bit_errors, iterations, seconds, ml_error).
 _TrialRecord = tuple[bool, int, int, float, bool]
@@ -203,11 +193,9 @@ def _wave(
     pool: ProcessPoolExecutor | None,
 ) -> list[_TrialRecord]:
     if pool is None or len(trial_indices) < 2 * workers:
-        decode_fn = decoder.bind(code)
-        return [
-            _run_trial(code, channel, decode_fn, transmitted, seed, point_index, t)
-            for t in trial_indices
-        ]
+        return _run_chunk(
+            (code, channel, decoder, transmitted, seed, point_index, trial_indices)
+        )
     chunks = np.array_split(np.asarray(trial_indices), workers * 4)
     payloads = [
         (code, channel, decoder, transmitted, seed, point_index, chunk.tolist())
@@ -248,6 +236,8 @@ def run_point(
         raise ValueError("n_trials must be at least 1")
     if target_errors is not None and target_errors < 1:
         raise ValueError("target_errors must be at least 1")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
 
     sent = (
         np.zeros(code.n_vars, dtype=np.uint8)
@@ -330,6 +320,8 @@ def sweep(
     workers: int = 1,
 ) -> list[TrialStats]:
     """Run one :func:`run_point` per channel point, sharing the worker pool."""
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         return [

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from polylp import parse_alist
+from polylp.cli import _decoder_ref, build_parser
+from polylp.simulator import ALGORITHMS, DECODERS
 
 CLI = [sys.executable, "-m", "polylp.cli"]
 
@@ -103,6 +105,13 @@ class TestDecode:
         assert res.returncode == 1
         assert "24" in res.stderr
 
+    @pytest.mark.parametrize("llr", ["nan", "inf", "-inf"])
+    def test_non_finite_llr_is_usage_error(self, code_file, llr):
+        res = run_cli("decode", "--code", str(code_file), "--llr",
+                      " ".join(["1"] * 23 + [llr]))
+        assert res.returncode == 1
+        assert "finite" in res.stderr
+
     def test_defaults_in_help(self):
         res = run_cli("decode", "--help")
         assert res.returncode == 0
@@ -130,6 +139,49 @@ class TestConfigFile:
                       "--config", str(cfg))
         assert res.returncode == 1
         assert "volume" in res.stderr
+
+    def test_abbreviated_flag_beats_config(self, code_file, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tmax=2\n")
+        gamma = " ".join(["0.01"] * 12 + ["-0.01"] * 12)
+        res = run_cli("decode", "--code", str(code_file), "--llr", gamma,
+                      "--config", str(cfg), "--epsilon", "1e-12", "--tma", "5")
+        assert res.returncode == 0
+        assert json.loads(res.stdout)["iterations"] == 5
+
+    def test_bad_config_value_is_usage_error(self, code_file, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# comment\n\nalgo=bogus\n")
+        res = run_cli("decode", "--code", str(code_file), "--llr",
+                      " ".join(["1"] * 24), "--config", str(cfg))
+        assert res.returncode == 1
+        assert "--algo" in res.stderr
+
+    def test_config_line_without_value_is_usage_error(self, code_file, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("tmax\n")
+        res = run_cli("decode", "--code", str(code_file), "--llr", "1",
+                      "--config", str(cfg))
+        assert res.returncode == 1
+        assert "bad.cfg:1" in res.stderr
+
+    def test_underscored_keys_and_negative_values(self, code_file, tmp_path):
+        # llr_clip names --llr-clip; a value like -1e-3 is not read as a flag.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("algo=bp\nllr_clip=-1e-3\n")
+        res = run_cli("decode", "--code", str(code_file), "--llr",
+                      " ".join(["1"] * 24), "--config", str(cfg))
+        assert res.returncode == 1
+        assert "llr_clip must be positive" in res.stderr
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_decoder_defaults_are_config_defaults(self, algo):
+        parser = build_parser()
+        for argv in (["decode", "--code", "c", "--llr", "1", "--algo", algo],
+                     ["simulate", "--code", "c", "--channel", "bsc",
+                      "--points", "0.1", "--decoder", algo]):
+            args = parser.parse_args(argv)
+            assert _decoder_ref(algo, args).config == DECODERS[algo]()
 
 
 class TestSimulate:
@@ -161,3 +213,14 @@ class TestSimulate:
         assert a.returncode == 0
         assert a.stdout == b.stdout
         assert ",awgn,8," in a.stdout
+
+    @pytest.mark.parametrize("env_workers, flags", [("1", ["--workers", "0"]),
+                                                    ("0", [])])
+    def test_fewer_than_one_worker_is_usage_error(self, code_file, env_workers, flags):
+        import os
+        env = dict(os.environ, POLYLP_WORKERS=env_workers)
+        args = CLI + ["simulate", "--code", str(code_file), "--channel", "bsc",
+                      "--points", "0.02", "--trials", "5", *flags]
+        res = subprocess.run(args, env=env, capture_output=True, text=True, timeout=300)
+        assert res.returncode == 1
+        assert "workers must be at least 1" in res.stderr

@@ -17,6 +17,7 @@ from polylp import (
     transmit,
 )
 from polylp.admm_decoder import AdmmConfig, decode
+from polylp.bp_decoder import BpConfig
 from oracles import gf2_nullspace, hamming_7_4
 
 ADMM = DecoderRef("admm")
@@ -60,6 +61,17 @@ class TestRunPoint:
         with pytest.raises(ValueError, match="codeword"):
             run_point(code, Bsc(0.1), ADMM, n_trials=1, seed=0,
                       transmitted=np.array([1, 0, 0, 0, 0, 0, 0]))
+
+    def test_rejects_fewer_than_one_worker(self):
+        code = hamming_7_4()
+        for workers in (0, -1):
+            with pytest.raises(ValueError, match="workers"):
+                run_point(code, Bsc(0.1), ADMM, n_trials=5, seed=0, workers=workers)
+            with pytest.raises(ValueError, match="workers"):
+                sweep(code, [Bsc(0.1)], ADMM, n_trials=5, seed=0, workers=workers)
+        # Even with no points to run.
+        with pytest.raises(ValueError, match="workers"):
+            sweep(code, [], ADMM, n_trials=5, seed=0, workers=0)
 
     def test_exactly_one_budget_mode(self):
         code = hamming_7_4()
@@ -174,3 +186,11 @@ class TestSweep:
     def test_decoder_ref_validation(self):
         with pytest.raises(ValueError):
             DecoderRef("turbo")
+        # A config of another decoder fails when the reference is built,
+        # not later inside a (possibly worker-side) decode.
+        with pytest.raises(ValueError, match="BpConfig"):
+            DecoderRef("bp", AdmmConfig())
+        with pytest.raises(ValueError, match="DualAscentConfig"):
+            DecoderRef("dual-ascent", AdmmConfig())
+        with pytest.raises(ValueError, match="AdmmConfig"):
+            DecoderRef("admm", BpConfig())
