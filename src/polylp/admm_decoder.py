@@ -49,14 +49,17 @@ class AdmmState:
     """Iterates of one decode: variables, replicas, and duals.
 
     Replicas and duals are stored edge-flat in check order; the slice for
-    check ``j`` is ``code.check_slice(j)``.  ``w`` carries the
-    over-relaxed consensus mixture between the replica and dual updates.
+    check ``j`` is ``code.check_slice(j)``.  The replica update leaves
+    ``x_edges``, the variables gathered onto the edges, for the stopping
+    rule, and ``w``, the over-relaxed consensus mixture, for the dual
+    update.
     """
 
     x: NDArray[np.float64]
     z: NDArray[np.float64]
     lam: NDArray[np.float64]
     z_prev: NDArray[np.float64]
+    x_edges: NDArray[np.float64] = field(default_factory=lambda: np.empty(0))
     w: NDArray[np.float64] = field(default_factory=lambda: np.empty(0))
     iterations: int = 0
 
@@ -114,12 +117,11 @@ def x_update(
     """Average the dual-adjusted replicas, step against the LLRs, clamp."""
     adj = state.z - state.lam / config.mu
     acc = np.bincount(code.edge_var, weights=adj, minlength=code.n_vars)
-    deg = code.var_degrees
-    x = np.clip((acc - gamma / config.mu) / np.maximum(deg, 1), 0.0, 1.0)
-    if (deg == 0).any():
+    x = np.minimum(np.maximum((acc - gamma / config.mu) / code.var_divisor, 0.0), 1.0)
+    free = code.isolated_vars
+    if free.size:
         # Unconstrained variables take the minimizer of their cost term.
-        free = deg == 0
-        x[free] = (gamma[free] < 0.0).astype(float)
+        x[free] = gamma[free] < 0.0
     state.x = x
     return state.x
 
@@ -128,13 +130,12 @@ def z_update(
     state: AdmmState, code: ParityCheckMatrix, config: AdmmConfig
 ) -> NDArray[np.float64]:
     """Project each check's over-relaxed replica target onto the polytope."""
-    gathered = state.x[code.edge_var]
-    w = config.rho * gathered + (1.0 - config.rho) * state.z
+    state.x_edges = state.x[code.edge_var]
+    w = config.rho * state.x_edges + (1.0 - config.rho) * state.z
     v = w + state.lam / config.mu
     z_new = np.empty_like(v)
     for rows in code.checks_by_degree.values():
-        flat = rows.reshape(-1)
-        z_new[flat] = project_batch(v[rows]).reshape(-1)
+        z_new[rows] = project_batch(v[rows])
     state.z_prev = state.z
     state.w = w
     state.z = z_new
@@ -167,9 +168,10 @@ def decode(
     for t in range(1, config.t_max + 1):
         x_update(state, code, gamma, config)
         z_update(state, code, config)
-        gathered = state.x[code.edge_var]
-        primal = float(((gathered - state.z) ** 2).sum())
-        moved = float(((state.z - state.z_prev) ** 2).sum())
+        r = state.x_edges - state.z
+        dz = state.z - state.z_prev
+        primal = float(r @ r)
+        moved = float(dz @ dz)
         lambda_update(state, code, config)
         state.iterations = t
         if primal < threshold and moved < threshold:

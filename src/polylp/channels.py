@@ -80,7 +80,7 @@ def transmit(
     bits = np.asarray(x)
     if bits.ndim != 1:
         raise ValueError("codeword must be a 1-D bit vector")
-    if not np.isin(bits, (0, 1)).all():
+    if not ((bits == 0) | (bits == 1)).all():
         raise ValueError("codeword entries must be 0 or 1")
     rng = _as_rng(seed)
     if isinstance(ch, Bsc):
@@ -103,7 +103,7 @@ def llr(received: ArrayLike, ch: ChannelModel) -> NDArray[np.float64]:
     if isinstance(ch, Bsc):
         if not (0.0 < ch.p < 1.0):
             raise ValueError("BSC crossover probability must be in (0, 1)")
-        if not np.isin(y, (0, 1)).all():
+        if not ((y == 0) | (y == 1)).all():
             raise ValueError("BSC received symbols must be 0 or 1")
         base = math.log((1.0 - ch.p) / ch.p)
         return (1.0 - 2.0 * y.astype(float)) * base

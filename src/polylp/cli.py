@@ -59,7 +59,11 @@ def _config_flags(path: str) -> list[str]:
 
 
 def _default_workers() -> int:
-    return int(os.environ.get("POLYLP_WORKERS", "1"))
+    text = os.environ.get("POLYLP_WORKERS", "1")
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"POLYLP_WORKERS must be an integer, got {text!r}") from None
 
 
 def _add_decoder_flags(p: argparse.ArgumentParser) -> None:
@@ -237,6 +241,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise UsageError(str(exc)) from exc
     if (args.trials is None) == (args.target_errors is None):
         raise UsageError("give exactly one of --trials or --target-errors")
+    flag, budget = (("--trials", args.trials) if args.trials is not None
+                    else ("--target-errors", args.target_errors))
+    if budget < 1:
+        raise UsageError(f"{flag} must be at least 1, got {budget}")
     workers = args.workers if args.workers is not None else _default_workers()
     if workers < 1:
         raise UsageError(f"workers must be at least 1, got {workers}")

@@ -84,6 +84,20 @@ class ParityCheckMatrix:
     def var_degrees(self) -> NDArray[np.int64]:
         return np.array([a.size for a in self.var_neighborhoods], dtype=np.int64)
 
+    @cached_property
+    def var_divisor(self) -> NDArray[np.float64]:
+        """Variable degrees as floats, with 1 in place of 0."""
+        div = np.maximum(self.var_degrees, 1).astype(float)
+        div.flags.writeable = False
+        return div
+
+    @cached_property
+    def isolated_vars(self) -> NDArray[np.int64]:
+        """Indices of the variables that are in no check."""
+        idx = np.flatnonzero(self.var_degrees == 0)
+        idx.flags.writeable = False
+        return idx
+
     @property
     def n_edges(self) -> int:
         return int(self.check_degrees.sum())
@@ -147,7 +161,7 @@ def is_codeword(code: ParityCheckMatrix, x: ArrayLike) -> bool:
     x = np.asarray(x)
     if x.shape != (code.n_vars,):
         raise ValueError(f"expected a length-{code.n_vars} vector")
-    if not np.isin(x, (0, 1)).all():
+    if not ((x == 0) | (x == 1)).all():
         raise ValueError("codeword entries must be 0 or 1")
     bits = x.astype(np.int64)
     sums = np.add.reduceat(bits[code.edge_var], code.check_ptr[:-1])

@@ -252,28 +252,32 @@ def project_batch(values: ArrayLike) -> NDArray[np.float64]:
     no tolerance returns ``z_hat`` unchanged.  Only the other rows are
     sorted and searched for ``beta_opt``, by a cumulative-slope walk over
     the sorted kinks where the line value steepens.  Scratch memory is
-    O(m * d).
+    O(m * d).  The input is left unchanged, and each row of the result
+    is the same, bit for bit, whatever the batch around it.
     """
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 2 or vals.shape[1] == 0:
         raise ValueError("project_batch expects an (m, d) array with d >= 1")
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise ValueError("projection input must be finite")
     d = vals.shape[1]
     out = np.minimum(np.maximum(vals, 0.0), 1.0)
+    # The cut test runs on a C-contiguous (d, m) copy: a reduction over a
+    # row's d entries is then d vector operations across all rows.
+    cols = out.T.copy()
 
     # Slack of the facet theta: sum(min(z, 1 - z)) - 1, less the cost of
     # the parity fix when |theta| is even.
-    cost = np.minimum(out, 1.0 - out)
-    even = (out > 0.5).sum(axis=1) % 2 == 0
-    slack = cost.sum(axis=1) - 1.0 + np.where(even, 1.0 - 2.0 * cost.max(axis=1), 0.0)
+    cost = np.minimum(cols, 1.0 - cols)
+    odd = np.logical_xor.reduce(cols > 0.5, axis=0)
+    slack = _sum_down(cost) - 1.0 + np.where(odd, 0.0, 1.0 - 2.0 * cost.max(axis=0))
     bad = np.flatnonzero(slack < 0.0)
     if bad.size == 0:
         return out
 
     v = vals[bad]
     k = np.arange(bad.size)
-    r = 2 * (out[bad].sum(axis=1) // 2).astype(np.intp)
+    r = 2 * (_sum_down(cols)[bad] // 2).astype(np.intp)
     asc = np.sort(v, axis=1)
     # r <= d - 1 here: a row with r = d is the all-ones vertex, which
     # passes the cut test.  A tie with the (r+1)-th largest entry v_r that
@@ -288,15 +292,29 @@ def project_batch(values: ArrayLike) -> NDArray[np.float64]:
     # min(s) + 1, where the sum already reaches 1, so the root g = r lies
     # before any ramp saturates: walk the sorted starts s_i, where the
     # slope of the sum steps up by one, integrating it to each start.
-    starts = np.sort(np.where(sign > 0.0, v - 1.0, -v), axis=1)
+    # Each row's starts are sorted, then walked down the columns of the
+    # (d, rows) transpose.
+    starts = np.sort(np.where(sign > 0.0, v - 1.0, -v), axis=1).T.copy()
     ramps = np.zeros(starts.shape)
-    np.cumsum(np.diff(starts, axis=1) * np.arange(1, d), axis=1, out=ramps[:, 1:])
-    n = (ramps < 1.0).sum(axis=1)
-    beta = starts[k, n - 1] + (1.0 - ramps[k, n - 1]) / n
+    np.cumsum(np.diff(starts, axis=0) * np.arange(1, d)[:, None], axis=0, out=ramps[1:])
+    n = (ramps < 1.0).sum(axis=0)
+    beta = starts[n - 1, k] + (1.0 - ramps[n - 1, k]) / n
     beta = np.minimum(np.maximum(beta, 0.0), beta_max)
     z = v - beta[:, None] * sign
     out[bad] = np.minimum(np.maximum(z, 0.0), 1.0)
     return out
+
+
+def _sum_down(cols: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Column sums of a (d, m) array, adding its rows first to last.
+
+    numpy reduces the outer axis of a (d, m) array with m >= 2 in this
+    order, but sums a single column pairwise once d >= 8.  One fixed
+    order keeps each row's projection independent of the batch.
+    """
+    if cols.shape[1] == 1:
+        return np.cumsum(cols, axis=0)[-1]
+    return cols.sum(axis=0)
 
 
 def maximize_linear(c: ArrayLike) -> NDArray[np.int8]:

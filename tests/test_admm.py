@@ -113,6 +113,22 @@ class TestDecodeFixtures:
         with pytest.raises(ValueError):
             decode(np.ones(3), SINGLE_CHECK)
 
+    @pytest.mark.parametrize("llr_isolated, bit", [(-0.5, 1), (0.0, 0), (0.5, 0)])
+    def test_isolated_variable(self, llr_isolated, bit):
+        # A variable in no check minimizes its own cost term: 1 for a
+        # negative LLR, else 0.  It leaves the other variables untouched.
+        base = gen_regular_ldpc(30, 3, 6, seed=1)
+        code = ParityCheckMatrix.from_dense(np.hstack([base.to_dense(), np.zeros((15, 1))]))
+        assert code.isolated_vars.tolist() == [30]
+        gamma = np.random.default_rng(3).normal(0.6, 1.0, 30)
+        alone = decode(gamma, base)
+        out = decode(np.append(gamma, llr_isolated), code)
+        assert out.x[-1] == bit and out.hard_decision[-1] == bit
+        assert np.array_equal(out.x[:-1], alone.x)
+        assert np.array_equal(out.hard_decision[:-1], alone.hard_decision)
+        assert (out.status, out.iterations) == (alone.status, alone.iterations)
+        assert out.ml_certificate == alone.ml_certificate
+
     def test_hamming_one_flip_matches_lp_and_ml(self):
         # Every <=1-flip pattern is solved to the LP optimum.  Flips on
         # the three degree-1 variables tie the zero codeword against a

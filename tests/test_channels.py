@@ -5,6 +5,11 @@ import pytest
 
 from polylp import Awgn, Bsc, llr, transmit
 
+# Bit vectors must hold only 0 and 1, whatever their dtype.
+NON_BITS = [np.array([0, 0.5]), np.array([0, -1]), np.array([0, 2]), np.array([0, np.nan])]
+NON_BIT_IDS = ["0.5", "-1", "2", "nan"]
+BIT_DTYPES = [bool, np.uint8, np.int64, float]
+
 
 class TestChannelModels:
     def test_bsc_validation(self):
@@ -48,9 +53,17 @@ class TestTransmit:
         y = transmit(np.array([0, 1, 0, 1], dtype=np.uint8), Awgn(50.0, 0.5), seed=3)
         assert np.allclose(y, [1, -1, 1, -1], atol=0.05)
 
-    def test_rejects_non_bits(self):
-        with pytest.raises(ValueError):
-            transmit(np.array([0, 2]), Bsc(0.1), seed=0)
+    @pytest.mark.parametrize("word", NON_BITS, ids=NON_BIT_IDS)
+    @pytest.mark.parametrize("ch", [Bsc(0.1), Awgn(2.0, 0.5)], ids=["bsc", "awgn"])
+    def test_rejects_non_bits(self, word, ch):
+        with pytest.raises(ValueError, match="0 or 1"):
+            transmit(word, ch, seed=0)
+
+    @pytest.mark.parametrize("dtype", BIT_DTYPES)
+    def test_accepts_bits_of_any_dtype(self, dtype):
+        word = np.array([0, 1, 1, 0], dtype=dtype)
+        assert np.array_equal(transmit(word, Bsc(0.1), seed=0),
+                              transmit(word.astype(np.uint8), Bsc(0.1), seed=0))
 
 
 class TestLlr:
@@ -74,9 +87,15 @@ class TestLlr:
         b = llr(y, Bsc(0.2))
         assert np.array_equal(a, b)
 
-    def test_bsc_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            llr(np.array([0, 2]), Bsc(0.2))
+    @pytest.mark.parametrize("received", NON_BITS, ids=NON_BIT_IDS)
+    def test_bsc_rejects_non_binary(self, received):
+        with pytest.raises(ValueError, match="0 or 1"):
+            llr(received, Bsc(0.2))
+
+    @pytest.mark.parametrize("dtype", BIT_DTYPES)
+    def test_bsc_accepts_bits_of_any_dtype(self, dtype):
+        got = llr(np.array([0, 1, 1, 0], dtype=dtype), Bsc(0.2))
+        assert np.array_equal(got, llr(np.array([0, 1, 1, 0]), Bsc(0.2)))
 
     def test_sign_convention_favors_zero(self):
         # All-zero word on a quiet channel: expected LLR is positive.

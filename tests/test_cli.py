@@ -224,3 +224,20 @@ class TestSimulate:
         res = subprocess.run(args, env=env, capture_output=True, text=True, timeout=300)
         assert res.returncode == 1
         assert "workers must be at least 1" in res.stderr
+
+    @pytest.mark.parametrize("flag", ["--trials", "--target-errors"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_budget_below_one_is_usage_error(self, code_file, flag, value):
+        res = run_cli("simulate", "--code", str(code_file), "--channel", "bsc",
+                      "--points", "0.02", flag, value)
+        assert res.returncode == 1
+        assert f"{flag} must be at least 1" in res.stderr
+
+    def test_non_integer_env_workers_is_usage_error(self, code_file):
+        import os
+        env = dict(os.environ, POLYLP_WORKERS="abc")
+        args = CLI + ["simulate", "--code", str(code_file), "--channel", "bsc",
+                      "--points", "0.02", "--trials", "5"]
+        res = subprocess.run(args, env=env, capture_output=True, text=True, timeout=300)
+        assert res.returncode == 1
+        assert "POLYLP_WORKERS must be an integer" in res.stderr

@@ -158,6 +158,18 @@ class TestIsCodeword:
         with pytest.raises(ValueError):
             is_codeword(h, np.array([1, 0, 0]))
 
+    @pytest.mark.parametrize("bad", [0.5, -1, 2, np.nan], ids=["0.5", "-1", "2", "nan"])
+    def test_rejects_non_bits(self, bad):
+        h = ParityCheckMatrix.from_dense([[1, 1, 1, 1]])
+        with pytest.raises(ValueError, match="0 or 1"):
+            is_codeword(h, np.array([1, 1, 0, bad]))
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, float])
+    def test_accepts_bits_of_any_dtype(self, dtype):
+        h = ParityCheckMatrix.from_dense([[1, 1, 1, 1]])
+        assert is_codeword(h, np.array([1, 1, 0, 0], dtype=dtype))
+        assert not is_codeword(h, np.array([1, 0, 0, 0], dtype=dtype))
+
 
 @pytest.mark.parametrize("decoder", [decode, decode_bp, decode_dual_ascent])
 @pytest.mark.parametrize(
