@@ -134,8 +134,8 @@ def z_update(
     w = config.rho * state.x_edges + (1.0 - config.rho) * state.z
     v = w + state.lam / config.mu
     z_new = np.empty_like(v)
-    for rows in code.checks_by_degree.values():
-        z_new[rows] = project_batch(v[rows])
+    for d, sel in code.degree_blocks.items():
+        z_new[sel] = project_batch(v[sel].reshape(-1, d)).reshape(-1)
     state.z_prev = state.z
     state.w = w
     state.z = z_new

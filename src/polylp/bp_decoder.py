@@ -41,14 +41,14 @@ def _check_node_update(
     # zero message never forces a division.
     half = np.tanh(np.clip(0.5 * v2c, -0.5 * clip, 0.5 * clip))
     c2v = np.empty_like(v2c)
-    for rows in code.checks_by_degree.values():
-        t = half[rows]
+    for d, sel in code.degree_blocks.items():
+        t = half[sel].reshape(-1, d)
         left = np.ones_like(t)
         right = np.ones_like(t)
         np.cumprod(t[:, :-1], axis=1, out=left[:, 1:])
         np.cumprod(t[:, :0:-1], axis=1, out=right[:, -2::-1])
         prod = np.clip(left * right, -_ATANH_GUARD, _ATANH_GUARD)
-        c2v[rows.reshape(-1)] = np.clip(2.0 * np.arctanh(prod), -clip, clip).reshape(-1)
+        c2v[sel] = np.clip(2.0 * np.arctanh(prod), -clip, clip).reshape(-1)
     return c2v
 
 

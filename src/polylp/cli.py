@@ -245,6 +245,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                     else ("--target-errors", args.target_errors))
     if budget < 1:
         raise UsageError(f"{flag} must be at least 1, got {budget}")
+    if args.max_trials < 1:
+        raise UsageError(f"--max-trials must be at least 1, got {args.max_trials}")
     workers = args.workers if args.workers is not None else _default_workers()
     if workers < 1:
         raise UsageError(f"workers must be at least 1, got {workers}")

@@ -128,6 +128,37 @@ class ParityCheckMatrix:
             groups[int(d)] = rows
         return groups
 
+    @cached_property
+    def degree_blocks(self) -> dict[int, slice | NDArray[np.int64]]:
+        """Edge selector of each degree group: ``v[sel].reshape(-1, d)``
+        gives the group's (m_d, d) rows of an edge-flat vector ``v``.
+
+        A group whose edges are contiguous (every group of a code whose
+        checks of one degree are adjacent, e.g. a regular code) gets a
+        ``slice``, so reading and writing it moves no indices; any other
+        group gets its flat edge indices.
+        """
+        blocks: dict[int, slice | NDArray[np.int64]] = {}
+        for d, rows in self.checks_by_degree.items():
+            flat = rows.reshape(-1)
+            start = int(flat[0])
+            if int(flat[-1]) - start + 1 == flat.size:
+                blocks[d] = slice(start, start + flat.size)
+            else:
+                blocks[d] = flat
+        return blocks
+
+    @cached_property
+    def check_columns(self) -> tuple[NDArray[np.int64], ...]:
+        """Variable indices of each degree group as a C-ordered (d, m_d)
+        array: column j lists the variables of the group's j-th check."""
+        cols = []
+        for rows in self.checks_by_degree.values():
+            c = self.edge_var[rows].T.copy()
+            c.flags.writeable = False
+            cols.append(c)
+        return tuple(cols)
+
     @property
     def design_rate(self) -> float:
         return 1.0 - self.n_checks / self.n_vars
@@ -163,9 +194,11 @@ def is_codeword(code: ParityCheckMatrix, x: ArrayLike) -> bool:
         raise ValueError(f"expected a length-{code.n_vars} vector")
     if not ((x == 0) | (x == 1)).all():
         raise ValueError("codeword entries must be 0 or 1")
-    bits = x.astype(np.int64)
-    sums = np.add.reduceat(bits[code.edge_var], code.check_ptr[:-1])
-    return not np.any(sums % 2)
+    bits = x.astype(np.uint8)
+    # Parity of each check is the XOR down its column: d vector ops.
+    return not any(
+        np.bitwise_xor.reduce(bits[cols], axis=0).any() for cols in code.check_columns
+    )
 
 
 def check_llrs(code: ParityCheckMatrix, gamma: ArrayLike) -> NDArray[np.float64]:

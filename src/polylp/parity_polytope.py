@@ -250,8 +250,9 @@ def project_batch(values: ArrayLike) -> NDArray[np.float64]:
     ``z_hat`` violates most is ``theta = (z_hat > 1/2)``, with its parity
     fixed at the coordinate nearest 1/2, and a row that satisfies it with
     no tolerance returns ``z_hat`` unchanged.  Only the other rows are
-    sorted and searched for ``beta_opt``, by a cumulative-slope walk over
-    the sorted kinks where the line value steepens.  Scratch memory is
+    sorted, and their ``beta_opt`` is the sort-based simplex threshold of
+    Duchi et al.: the minimum over k of ``(1 + S_k) / k``, where ``S_k``
+    sums the k smallest ramp starts, so no search runs.  Scratch memory is
     O(m * d).  The input is left unchanged, and each row of the result
     is the same, bit for bit, whatever the batch around it.
     """
@@ -276,30 +277,34 @@ def project_batch(values: ArrayLike) -> NDArray[np.float64]:
         return out
 
     v = vals[bad]
-    k = np.arange(bad.size)
     r = 2 * (_sum_down(cols)[bad] // 2).astype(np.intp)
     asc = np.sort(v, axis=1)
     # r <= d - 1 here: a row with r = d is the all-ones vertex, which
-    # passes the cut test.  A tie with the (r+1)-th largest entry v_r that
-    # gives f_r extra +1 entries also makes beta_max = 0, so beta = 0.
+    # passes the cut test.  f_r is +1 on the r + 1 largest entries, the
+    # last of them v_r, and -1 on the rest.
     top = d - 1 - r
-    v_r = asc[k, top]
-    beta_max = np.where(top > 0, 0.5 * (v_r - asc[k, top - 1]), v_r)
+    v_r = asc[np.arange(bad.size), top]
     sign = np.where(v >= v_r[:, None], 1.0, -1.0)
 
     # g(beta) = f_r . clip(v - beta * f_r, 0, 1) equals r + 1 minus a sum
     # of unit ramps clip(beta - s_i, 0, 1).  The first ramp saturates at
-    # min(s) + 1, where the sum already reaches 1, so the root g = r lies
-    # before any ramp saturates: walk the sorted starts s_i, where the
-    # slope of the sum steps up by one, integrating it to each start.
-    # Each row's starts are sorted, then walked down the columns of the
-    # (d, rows) transpose.
-    starts = np.sort(np.where(sign > 0.0, v - 1.0, -v), axis=1).T.copy()
-    ramps = np.zeros(starts.shape)
-    np.cumsum(np.diff(starts, axis=0) * np.arange(1, d)[:, None], axis=0, out=ramps[1:])
-    n = (ramps < 1.0).sum(axis=0)
-    beta = starts[n - 1, k] + (1.0 - ramps[n - 1, k]) / n
-    beta = np.minimum(np.maximum(beta, 0.0), beta_max)
+    # min(s) + 1, where the sum already reaches 1, so the root g = r is
+    # the root of h(beta) = sum_i (beta - s_i)_+ = 1.  With the starts
+    # sorted and S_k their prefix sums, every c_k = (1 + S_k) / k has
+    # h(c_k) >= k c_k - S_k = 1, so c_k is at or above the root, and c_k
+    # of the active prefix is the root: beta = min_k c_k.  The starts
+    # take f_r by sorted position, so it has r + 1 entries of +1 even
+    # when v_r is tied.  A tie makes f_r and the facet that swaps the tied
+    # entries equally violated, and at most one odd-set facet is, so then
+    # beta is 0 to rounding and ``sign``'s side of the tie does not matter.
+    k = np.arange(1, d + 1)
+    starts = np.sort(np.where(k > top[:, None], asc - 1.0, -asc), axis=1)
+    # c_k and their minimum run down the columns of a (d, rows) copy.
+    c = starts.T.copy()
+    np.cumsum(c, axis=0, out=c)
+    c += 1.0
+    c /= k[:, None]
+    beta = np.maximum(c.min(axis=0), 0.0)
     z = v - beta[:, None] * sign
     out[bad] = np.minimum(np.maximum(z, 0.0), 1.0)
     return out

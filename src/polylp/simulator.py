@@ -208,6 +208,21 @@ def _wave(
     return records
 
 
+def _check_budget(
+    n_trials: int | None, target_errors: int | None, max_trials: int, workers: int
+) -> None:
+    if (n_trials is None) == (target_errors is None):
+        raise ValueError("give exactly one of n_trials or target_errors")
+    if n_trials is not None and n_trials < 1:
+        raise ValueError("n_trials must be at least 1")
+    if target_errors is not None and target_errors < 1:
+        raise ValueError("target_errors must be at least 1")
+    if max_trials < 1:
+        raise ValueError("max_trials must be at least 1")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+
+
 def run_point(
     code: ParityCheckMatrix,
     channel: ChannelModel,
@@ -230,15 +245,7 @@ def run_point(
     ``max_trials``.  Results depend only on (seed, point_index, trial
     index), never on the worker count.
     """
-    if (n_trials is None) == (target_errors is None):
-        raise ValueError("give exactly one of n_trials or target_errors")
-    if n_trials is not None and n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
-    if target_errors is not None and target_errors < 1:
-        raise ValueError("target_errors must be at least 1")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-
+    _check_budget(n_trials, target_errors, max_trials, workers)
     sent = (
         np.zeros(code.n_vars, dtype=np.uint8)
         if transmitted is None
@@ -320,8 +327,7 @@ def sweep(
     workers: int = 1,
 ) -> list[TrialStats]:
     """Run one :func:`run_point` per channel point, sharing the worker pool."""
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    _check_budget(n_trials, target_errors, max_trials, workers)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         return [

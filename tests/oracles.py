@@ -243,6 +243,14 @@ def random_tree_code(rng: np.random.Generator, n_max: int = 12) -> ParityCheckMa
     return ParityCheckMatrix(n, [np.array(c) for c in checks])
 
 
+def interleaved_code(n: int, m: int, seed: int, degrees: tuple[int, ...] = (3, 5, 4)) -> ParityCheckMatrix:
+    """Random code whose check degrees cycle through ``degrees``, so no
+    degree's checks sit next to each other in check order."""
+    rng = np.random.default_rng(seed)
+    checks = [rng.choice(n, degrees[j % len(degrees)], replace=False) for j in range(m)]
+    return ParityCheckMatrix(n, checks)
+
+
 def hamming_7_4() -> ParityCheckMatrix:
     return ParityCheckMatrix.from_dense(
         [

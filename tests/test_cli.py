@@ -233,6 +233,14 @@ class TestSimulate:
         assert res.returncode == 1
         assert f"{flag} must be at least 1" in res.stderr
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_max_trials_below_one_is_usage_error(self, code_file, value):
+        res = run_cli("simulate", "--code", str(code_file), "--channel", "bsc",
+                      "--points", "0.02", "--target-errors", "5", "--max-trials", value)
+        assert res.returncode == 1
+        assert f"--max-trials must be at least 1, got {value}" in res.stderr
+        assert res.stdout == ""
+
     def test_non_integer_env_workers_is_usage_error(self, code_file):
         import os
         env = dict(os.environ, POLYLP_WORKERS="abc")

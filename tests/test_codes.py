@@ -13,6 +13,7 @@ from polylp import (
     is_codeword,
     parse_alist,
 )
+from oracles import codebook, interleaved_code
 
 # H = [[1,1,0],[0,1,1]]: column degrees 1 2 1, row degrees 2 2.
 FIXTURE_ALIST = """\
@@ -102,6 +103,27 @@ class TestParityCheckMatrix:
         assert code.checks_by_degree[2].shape == (2, 2)
 
 
+    def test_degree_blocks_select_each_group(self):
+        # Contiguous groups get a slice, interleaved ones edge indices;
+        # either way v[sel].reshape(-1, d) is the group's (m_d, d) rows.
+        regular = gen_regular_ldpc(30, 3, 6, seed=2)
+        mixed = interleaved_code(20, 12, seed=1)
+        assert [type(s) for s in regular.degree_blocks.values()] == [slice]
+        assert all(isinstance(s, np.ndarray) for s in mixed.degree_blocks.values())
+        for code in (regular, mixed):
+            assert list(code.degree_blocks) == list(code.checks_by_degree)
+            v = np.arange(code.n_edges, dtype=float)
+            for (d, sel), cols in zip(code.degree_blocks.items(), code.check_columns):
+                rows = code.checks_by_degree[d]
+                assert np.array_equal(v[sel].reshape(-1, d), v[rows])
+                assert np.array_equal(cols, code.edge_var[rows].T)
+
+    def test_single_check_of_a_degree_is_a_slice(self):
+        code = ParityCheckMatrix.from_dense([[1, 1, 0, 0], [0, 1, 1, 1], [1, 0, 1, 0]])
+        assert isinstance(code.degree_blocks[3], slice)
+        assert isinstance(code.degree_blocks[2], np.ndarray)
+
+
 class TestGenRegular:
     def test_long_ensemble_code(self):
         code = gen_regular_ldpc(1002, 3, 6, seed=0)
@@ -163,6 +185,15 @@ class TestIsCodeword:
         h = ParityCheckMatrix.from_dense([[1, 1, 1, 1]])
         with pytest.raises(ValueError, match="0 or 1"):
             is_codeword(h, np.array([1, 1, 0, bad]))
+
+    def test_matches_dense_parity_on_mixed_degrees(self):
+        code = interleaved_code(20, 12, seed=1)
+        h = code.to_dense().astype(np.int64)
+        rng = np.random.default_rng(4)
+        words = np.concatenate([rng.integers(0, 2, (300, 20)), codebook(h)[:20]])
+        verdicts = [is_codeword(code, w) for w in words]
+        assert verdicts == [not (h @ w % 2).any() for w in words]
+        assert any(verdicts) and not all(verdicts)
 
     @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, float])
     def test_accepts_bits_of_any_dtype(self, dtype):

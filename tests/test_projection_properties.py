@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polylp import membership, project_batch
+from polylp import constituent_parity, membership, project_batch
 from oracles import even_weight_vertices, hull_project, project_breakpoint_march
 
 # Fixed examples and no example database, so every run tries the same rows.
@@ -189,3 +189,112 @@ def test_single_row_and_single_column_batches(shape):
     rng = np.random.default_rng(sum(shape))
     for _ in range(20):
         assert_layout_free(np.round(rng.uniform(-1.0, 2.0, shape), 1))
+
+
+def assert_matches_march(values):
+    z = project_batch(values)
+    for i, u in enumerate(values):
+        assert np.abs(z[i] - project_breakpoint_march(u)).max() <= 1e-9
+        assert membership(z[i], 1e-9)
+    return z
+
+
+def two_ramp_rows(rng, m, d):
+    """Rows with r = 0 whose root has exactly two active ramps, the + ramp
+    of the largest entry v0 and the - ramp of the next one v1: the root
+    is (v0 - v1) / 2, the largest beta before f_r would change."""
+    rows = np.empty((m, d))
+    for row in rows:
+        v0 = rng.uniform(0.2, 2.5)
+        v1 = rng.uniform(0.05, min(1.95, 2.0 * v0)) - v0
+        beta = 0.5 * (v0 - v1)
+        row[:] = -(beta + rng.uniform(0.0, 2.0, d))
+        row[:2] = v0, v1
+        rng.shuffle(row)
+    return rows
+
+
+def test_root_at_the_edge_of_its_facet():
+    # From an N=1002 frame: r = 0, and the root sits where f_r's -1 entry
+    # v1 = -0.4972 would change sides.
+    u = np.array([[0.6616, -0.7242, -0.7242, -0.7242, -0.7242, -0.4972]])
+    z = assert_matches_march(u)
+    beta = 0.5 * (0.6616 + 0.4972)
+    assert np.abs(z[0] - np.clip(u[0] - beta * np.array([1, -1, -1, -1, -1, -1]), 0, 1)).max() <= 1e-12
+    rng = np.random.default_rng(23)
+    for d in range(2, 13):
+        values = two_ramp_rows(rng, 30, d)
+        assert all(constituent_parity(u) == 0 for u in values)
+        z = assert_matches_march(values)
+        top = values.max(axis=1, keepdims=True)
+        second = np.sort(values, axis=1)[:, -2:-1]
+        sign = np.where(values == top, 1.0, -1.0)
+        expected = np.clip(values - 0.5 * (top - second) * sign, 0.0, 1.0)
+        assert np.abs(z - expected).max() <= 1e-9
+
+
+def tied_facet_rows(rng):
+    """Rows whose z_hat lies on an odd-set facet, with the parity r one
+    rounding away from even and the (r+1)-th largest entry tied: a ones,
+    two entries t > 1/2 and one 2 - 2t, so z_hat sums to a + 2."""
+    rows = []
+    for a in (0, 2, 4):
+        for k in range(51, 100):
+            t = k / 100
+            for zeros in range(3):
+                row = np.concatenate([
+                    rng.uniform(1.0, 2.0, a), [t, t, 2.0 - 2.0 * t], rng.uniform(-1.0, 0.0, zeros)
+                ])
+                rng.shuffle(row)
+                rows.append(row)
+    return rows
+
+
+def test_tie_at_the_last_plus_entry():
+    # z_hat is in the polytope, so it is its own projection; when its sum
+    # rounds below a + 2 the tie at v_r leaves f_r one +1 entry short of
+    # what ``v >= v_r`` selects, and the root must still come out as 0.
+    u = np.array([[0.8, 1.8, 2.0, 0.8, 0.4, -0.6, -0.4, -1.0]])
+    z = assert_matches_march(u)
+    assert np.abs(z - np.clip(u, 0, 1)).max() <= 1e-12
+    for u in tied_facet_rows(np.random.default_rng(29)):
+        z = assert_matches_march(u[None, :])
+        assert np.abs(z[0] - np.clip(u, 0.0, 1.0)).max() <= 1e-9
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_degrees_one_and_two(d):
+    # PP_1 is {0}; PP_2 is the diagonal segment from (0, 0) to (1, 1).
+    rng = np.random.default_rng(d)
+    values = np.concatenate([
+        rng.uniform(-3.0, 4.0, (200, d)),
+        np.round(rng.uniform(-1.0, 2.0, (200, d)), 1),
+        np.array(list(itertools.product([-1.0, 0.0, 0.25, 0.5, 1.0, 2.0], repeat=d))),
+    ])
+    z = assert_matches_march(values)
+    if d == 1:
+        # (v - 1) + 1 rounds, so a zero can come back as a few ulps.
+        assert np.abs(z).max() <= 1e-12
+    else:
+        assert np.abs(z[:, 0] - z[:, 1]).max() <= 1e-9
+        mean = np.clip(values.mean(axis=1), 0.0, 1.0)
+        assert np.abs(z[:, 0] - mean).max() <= 1e-9
+
+
+def test_every_ramp_active():
+    # r + 1 entries just above 1 and the rest just below 0, all within
+    # 1/d of the box: every ramp starts below the root (1 + sum s) / d.
+    rng = np.random.default_rng(31)
+    for d in range(1, 17):
+        for r in range(0, d, 2):
+            values = -rng.uniform(0.0, 1.0 / d, (20, d))
+            values[:, : r + 1] = 1.0 - values[:, : r + 1]
+            for row in values:
+                rng.shuffle(row)
+            z = assert_matches_march(values)
+            sign = np.where(values > 0.5, 1.0, -1.0)
+            starts = np.where(sign > 0.0, values - 1.0, -values)
+            beta = (1.0 + starts.sum(axis=1)) / d
+            assert np.all(starts.max(axis=1) < beta)
+            expected = np.clip(values - beta[:, None] * sign, 0.0, 1.0)
+            assert np.abs(z - expected).max() <= 1e-9

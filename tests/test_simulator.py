@@ -101,6 +101,18 @@ class TestRunPoint:
         assert stats.trials == 50
         assert stats.word_errors == 0
 
+    @pytest.mark.parametrize("max_trials", [0, -3])
+    def test_rejects_max_trials_below_one(self, max_trials):
+        # A trial ceiling below one would report a word error rate of 0
+        # from no frames.
+        code = hamming_7_4()
+        with pytest.raises(ValueError, match="max_trials must be at least 1"):
+            run_point(code, Bsc(0.1), ADMM, target_errors=5, max_trials=max_trials, seed=0)
+        with pytest.raises(ValueError, match="max_trials must be at least 1"):
+            sweep(code, [Bsc(0.1)], ADMM, target_errors=5, max_trials=max_trials, seed=0)
+        with pytest.raises(ValueError, match="max_trials must be at least 1"):
+            sweep(code, [], ADMM, target_errors=5, max_trials=max_trials, seed=0)
+
     def test_iteration_split_accounting(self):
         code = gen_regular_ldpc(32, 3, 6, seed=0)
         channel = Bsc(0.06)
