@@ -32,6 +32,7 @@ from .parity_polytope import (
     even_ceil,
     even_floor,
     maximize_linear,
+    maximize_linear_batch,
     membership,
     project_batch,
     project_hypercube,
@@ -80,6 +81,7 @@ __all__ = [
     "is_codeword",
     "llr",
     "maximize_linear",
+    "maximize_linear_batch",
     "membership",
     "ml_account",
     "parse_alist",

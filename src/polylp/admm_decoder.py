@@ -2,9 +2,11 @@
 
 Each iteration averages adjusted per-check replicas into the variable
 estimates, projects every check's over-relaxed replica onto the parity
-polytope, and takes a dual ascent step.  The iteration stops when the
-replicas agree with the variables and have stopped moving, both to a
-degree-normalized tolerance.
+polytope, and takes a dual ascent step.  The duals are kept in the
+scaled form of Boyd et al. (2011, section 3.1.1), ``u = lambda / mu``,
+so the dual step is the difference between the projection's input and
+its output.  The iteration stops when the replicas have stopped moving
+and agree with the variables, both to a degree-normalized tolerance.
 """
 
 from __future__ import annotations
@@ -46,21 +48,22 @@ class AdmmConfig:
 
 @dataclass
 class AdmmState:
-    """Iterates of one decode: variables, replicas, and duals.
+    """Iterates of one decode: variables, replicas, and scaled duals.
 
     Replicas and duals are stored edge-flat in check order; the slice for
-    check ``j`` is ``code.check_slice(j)``.  The replica update leaves
-    ``x_edges``, the variables gathered onto the edges, for the stopping
-    rule, and ``w``, the over-relaxed consensus mixture, for the dual
-    update.
+    check ``j`` is ``code.check_slice(j)``.  ``u`` is the scaled dual
+    ``lambda / mu`` of the consensus constraints.  The replica update
+    leaves ``x_edges``, the variables gathered onto the edges, for the
+    stopping rule, and ``v``, the projection input (the over-relaxed
+    consensus mixture plus ``u``), for the dual update.
     """
 
     x: NDArray[np.float64]
     z: NDArray[np.float64]
-    lam: NDArray[np.float64]
+    u: NDArray[np.float64]
     z_prev: NDArray[np.float64]
     x_edges: NDArray[np.float64] = field(default_factory=lambda: np.empty(0))
-    w: NDArray[np.float64] = field(default_factory=lambda: np.empty(0))
+    v: NDArray[np.float64] = field(default_factory=lambda: np.empty(0))
     iterations: int = 0
 
     @classmethod
@@ -69,7 +72,7 @@ class AdmmState:
         return cls(
             x=np.zeros(code.n_vars),
             z=np.zeros(e),
-            lam=np.zeros(e),
+            u=np.zeros(e),
             z_prev=np.zeros(e),
         )
 
@@ -96,7 +99,8 @@ def make_output(
     x: NDArray[np.float64], status: str, iterations: int, code: ParityCheckMatrix
 ) -> DecodeOutput:
     hard = (x > 0.5).astype(np.uint8)
-    integral = bool(np.all(np.minimum(np.abs(x), np.abs(1.0 - x)) <= INTEGRALITY_TOL))
+    # The hard decision is the bit value nearest each coordinate.
+    integral = bool((np.abs(x - hard) <= INTEGRALITY_TOL).all())
     cert = integral and is_codeword(code, hard)
     return DecodeOutput(
         x=x,
@@ -115,8 +119,7 @@ def x_update(
     config: AdmmConfig,
 ) -> NDArray[np.float64]:
     """Average the dual-adjusted replicas, step against the LLRs, clamp."""
-    adj = state.z - state.lam / config.mu
-    acc = np.bincount(code.edge_var, weights=adj, minlength=code.n_vars)
+    acc = np.bincount(code.edge_var, weights=state.z - state.u, minlength=code.n_vars)
     x = np.minimum(np.maximum((acc - gamma / config.mu) / code.var_divisor, 0.0), 1.0)
     free = code.isolated_vars
     if free.size:
@@ -131,13 +134,19 @@ def z_update(
 ) -> NDArray[np.float64]:
     """Project each check's over-relaxed replica target onto the polytope."""
     state.x_edges = state.x[code.edge_var]
-    w = config.rho * state.x_edges + (1.0 - config.rho) * state.z
-    v = w + state.lam / config.mu
-    z_new = np.empty_like(v)
-    for d, sel in code.degree_blocks.items():
-        z_new[sel] = project_batch(v[sel].reshape(-1, d)).reshape(-1)
+    v = config.rho * state.x_edges + (1.0 - config.rho) * state.z
+    v += state.u
+    blocks = code.degree_blocks
+    if len(blocks) == 1:
+        # One degree: the whole edge vector is the group's (m, d) rows.
+        (d,) = blocks
+        z_new = project_batch(v.reshape(-1, d)).reshape(-1)
+    else:
+        z_new = np.empty_like(v)
+        for d, sel in blocks.items():
+            z_new[sel] = project_batch(v[sel].reshape(-1, d)).reshape(-1)
     state.z_prev = state.z
-    state.w = w
+    state.v = v
     state.z = z_new
     return z_new
 
@@ -145,9 +154,10 @@ def z_update(
 def lambda_update(
     state: AdmmState, code: ParityCheckMatrix, config: AdmmConfig
 ) -> NDArray[np.float64]:
-    """Dual step against the residual of the same mixture the replicas saw."""
-    state.lam = state.lam + config.mu * (state.w - state.z)
-    return state.lam
+    """Scaled dual step against the residual of the mixture the replicas
+    saw: ``u + (mixture - z)``, which is ``v - z``."""
+    state.u = state.v - state.z
+    return state.u
 
 
 def decode(
@@ -158,8 +168,9 @@ def decode(
     """Solve the decoding LP for the LLR vector ``gamma``.
 
     Replicas and duals start at zero.  Convergence requires both the
-    replica-to-variable residual and the replica movement to fall below
-    ``epsilon^2`` times the total edge count.
+    replica movement and the replica-to-variable residual to fall below
+    ``epsilon^2`` times the total edge count; the residual is only
+    computed once the movement is below it.
     """
     gamma = check_llrs(code, gamma)
     state = AdmmState.initial(code)
@@ -168,13 +179,14 @@ def decode(
     for t in range(1, config.t_max + 1):
         x_update(state, code, gamma, config)
         z_update(state, code, config)
-        r = state.x_edges - state.z
         dz = state.z - state.z_prev
-        primal = float(r @ r)
-        moved = float(dz @ dz)
+        settled = float(dz @ dz) < threshold
+        if settled:
+            r = state.x_edges - state.z
+            settled = float(r @ r) < threshold
         lambda_update(state, code, config)
         state.iterations = t
-        if primal < threshold and moved < threshold:
+        if settled:
             status = STATUS_CONVERGED
             break
     return make_output(state.x, status, state.iterations, code)

@@ -294,10 +294,18 @@ def parse_alist(text: str) -> ParityCheckMatrix:
         for j in checks:
             from_cols[j].add(i)
     for j in range(m):
-        if from_cols[j] != set(rows[j]):
+        listed = set(rows[j])
+        if from_cols[j] != listed:
             raise AlistParseError(
                 f"line {4 + n + j + 1}: row {j + 1} disagrees with the column section"
             )
+        if len(listed) != len(rows[j]):
+            raise AlistParseError(f"line {4 + n + j + 1}: row {j + 1} lists a variable twice")
+    # The rows name each edge once, so the columns do too exactly when
+    # their entry count is the rows' entry count.
+    if sum(col_degs) != sum(row_degs):
+        k = next(k for k, checks in enumerate(cols) if len(set(checks)) != len(checks))
+        raise AlistParseError(f"line {4 + k + 1}: column {k + 1} lists a check twice")
 
     return ParityCheckMatrix(n, [np.asarray(rw, dtype=np.int64) for rw in rows])
 

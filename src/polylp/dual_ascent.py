@@ -16,7 +16,7 @@ from numpy.typing import ArrayLike
 
 from .admm_decoder import DecodeOutput, STATUS_CONVERGED, STATUS_MAX_ITERS, make_output
 from .codes import ParityCheckMatrix, check_llrs
-from .parity_polytope import maximize_linear
+from .parity_polytope import maximize_linear_batch
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,8 @@ def decode_dual_ascent(
         # Heaviside with theta(0) = 0.
         x = ((-gamma - dual_load) > 0.0).astype(float)
         z = np.empty(code.n_edges)
-        for j in range(code.n_checks):
-            sl = code.check_slice(j)
-            z[sl] = maximize_linear(lam[sl])
+        for d, sel in code.degree_blocks.items():
+            z[sel] = maximize_linear_batch(lam[sel].reshape(-1, d)).reshape(-1)
         residual = x[ev] - z
         if float((residual**2).sum()) < threshold:
             status = STATUS_CONVERGED

@@ -262,6 +262,9 @@ def project_batch(values: ArrayLike) -> NDArray[np.float64]:
     if not np.isfinite(vals).all():
         raise ValueError("projection input must be finite")
     d = vals.shape[1]
+    if d == 1:
+        # PP_1 = {0}; the threshold below would leave (v - 1) + 1 - v.
+        return np.zeros(vals.shape)
     out = np.minimum(np.maximum(vals, 0.0), 1.0)
     # The cut test runs on a C-contiguous (d, m) copy: a reduction over a
     # row's d entries is then d vector operations across all rows.
@@ -325,26 +328,38 @@ def _sum_down(cols: NDArray[np.float64]) -> NDArray[np.float64]:
 def maximize_linear(c: ArrayLike) -> NDArray[np.int8]:
     """Vertex of the parity polytope maximizing the linear cost ``c``.
 
-    Sets ones on the strictly positive coordinates; if their count is
-    odd, takes the better of turning on the largest non-positive entry
-    or dropping the smallest positive one.
+    A batch of one of :func:`maximize_linear_batch`.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 1 or c.size == 0:
         raise ValueError("maximize_linear expects a non-empty 1-D vector")
-    if not np.all(np.isfinite(c)):
+    return maximize_linear_batch(c[None])[0]
+
+
+def maximize_linear_batch(costs: ArrayLike) -> NDArray[np.int8]:
+    """Row-wise parity-polytope vertex maximizing each row of an (m, d)
+    cost array.
+
+    Sets ones on the strictly positive entries of a row; if their count
+    is odd, takes the better of turning on the largest non-positive entry
+    or dropping the smallest positive one (dropping on a tie, and always
+    when every entry is positive).  Ties inside either choice go to the
+    first such entry.
+    """
+    c = np.asarray(costs, dtype=float)
+    if c.ndim != 2 or c.shape[1] == 0:
+        raise ValueError("maximize_linear_batch expects an (m, d) array with d >= 1")
+    if not np.isfinite(c).all():
         raise ValueError("maximize_linear input must be finite")
     pos = c > 0.0
     z = pos.astype(np.int8)
-    if int(pos.sum()) % 2 == 0:
+    odd = np.flatnonzero(np.logical_xor.reduce(pos, axis=1))
+    if odd.size == 0:
         return z
-    i_p = int(np.argmin(np.where(pos, c, np.inf)))
-    if pos.all():
-        z[i_p] = 0
-        return z
-    i_n = int(np.argmax(np.where(~pos, c, -np.inf)))
-    if c[i_p] + c[i_n] > 0.0:
-        z[i_n] = 1
-    else:
-        z[i_p] = 0
+    c, pos = c[odd], pos[odd]
+    up = np.where(pos, c, np.inf)
+    down = np.where(pos, -np.inf, c)
+    # With no non-positive entry the gain is -inf, so the row drops one.
+    add = up.min(axis=1) + down.max(axis=1) > 0.0
+    z[odd, np.where(add, down.argmax(axis=1), up.argmin(axis=1))] = add
     return z

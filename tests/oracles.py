@@ -135,6 +135,26 @@ def maximize_by_enumeration(c: np.ndarray) -> float:
     return float((even_weight_vertices(c.size) @ c).max())
 
 
+def maximize_linear_scalar(c: np.ndarray) -> np.ndarray:
+    """The vertex rule of the dual-ascent replica step, one entry at a
+    time: ones on the positive entries; with an odd count, either turn on
+    the largest non-positive entry (when that gains strictly) or drop the
+    smallest positive one.  Ties go to the first such entry."""
+    c = [float(a) for a in c]
+    z = [1 if a > 0.0 else 0 for a in c]
+    if sum(z) % 2 == 0:
+        return np.array(z, dtype=np.int8)
+    i_p = min((i for i in range(len(c)) if z[i]), key=lambda i: (c[i], i))
+    rest = [i for i in range(len(c)) if not z[i]]
+    if rest:
+        i_n = max(rest, key=lambda i: (c[i], -i))
+        if c[i_p] + c[i_n] > 0.0:
+            z[i_n] = 1
+            return np.array(z, dtype=np.int8)
+    z[i_p] = 0
+    return np.array(z, dtype=np.int8)
+
+
 def gf2_nullspace(h: np.ndarray) -> np.ndarray:
     """Basis of the GF(2) null space of a binary matrix, rows as vectors."""
     h = np.array(h, dtype=np.uint8) % 2
@@ -249,6 +269,12 @@ def interleaved_code(n: int, m: int, seed: int, degrees: tuple[int, ...] = (3, 5
     rng = np.random.default_rng(seed)
     checks = [rng.choice(n, degrees[j % len(degrees)], replace=False) for j in range(m)]
     return ParityCheckMatrix(n, checks)
+
+
+def relabel_vars(code: ParityCheckMatrix, perm: np.ndarray) -> ParityCheckMatrix:
+    """The same code with variable ``i`` renamed ``perm[i]``; a vector
+    ``y`` of the original code is ``y2[perm] = y`` in the new one."""
+    return ParityCheckMatrix(code.n_vars, [perm[nb] for nb in code.check_neighborhoods])
 
 
 def hamming_7_4() -> ParityCheckMatrix:

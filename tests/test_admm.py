@@ -6,15 +6,18 @@ from polylp import (
     AdmmState,
     ParityCheckMatrix,
     STATUS_CONVERGED,
+    STATUS_MAX_ITERS,
     Bsc,
     decode,
+    decode_bp,
+    decode_dual_ascent,
     gen_regular_ldpc,
     is_codeword,
     llr,
     membership,
 )
-from polylp.admm_decoder import lambda_update, x_update, z_update
-from oracles import codebook, fundamental_lp, hamming_7_4, interleaved_code
+from polylp.admm_decoder import INTEGRALITY_TOL, lambda_update, x_update, z_update
+from oracles import codebook, fundamental_lp, hamming_7_4, interleaved_code, relabel_vars
 
 SINGLE_CHECK = ParityCheckMatrix.from_dense([[1, 1, 1, 1]])
 
@@ -69,16 +72,19 @@ class TestUpdateSteps:
         state = make_state(SINGLE_CHECK)
         state.x = np.array([1.0, 1.0, 0.0, 0.0])
         z_update(state, SINGLE_CHECK, AdmmConfig(rho=1.0))
-        lam = lambda_update(state, SINGLE_CHECK, AdmmConfig(rho=1.0))
-        assert np.allclose(lam, 0.0, atol=1e-12)
+        u = lambda_update(state, SINGLE_CHECK, AdmmConfig(rho=1.0))
+        assert np.allclose(u, 0.0, atol=1e-12)
 
     def test_lambda_arithmetic(self):
         code = ParityCheckMatrix.from_dense([[1, 1, 1]])
         state = make_state(code)
-        state.w = np.array([0.6, 0.4, 0.5])
+        # With u = 0 the projection input v is the mixture itself, and the
+        # unscaled dual lambda = mu * u moves by mu * (v - z).
+        cfg = AdmmConfig(mu=3.0)
+        state.v = np.array([0.6, 0.4, 0.5])
         state.z = np.array([0.5, 0.5, 0.5])
-        lam = lambda_update(state, code, AdmmConfig(mu=3.0))
-        assert np.allclose(lam, [0.3, -0.3, 0.0], atol=1e-12)
+        u = lambda_update(state, code, cfg)
+        assert np.allclose(cfg.mu * u, [0.3, -0.3, 0.0], atol=1e-12)
 
     def test_lambda_constant_across_consensus_iterations(self):
         state = make_state(SINGLE_CHECK)
@@ -86,8 +92,8 @@ class TestUpdateSteps:
         cfg = AdmmConfig(rho=1.0)
         for _ in range(2):
             z_update(state, SINGLE_CHECK, cfg)
-            lam = lambda_update(state, SINGLE_CHECK, cfg)
-        assert np.allclose(lam, 0.0, atol=1e-12)
+            u = lambda_update(state, SINGLE_CHECK, cfg)
+        assert np.allclose(u, 0.0, atol=1e-12)
 
 
 class TestDecodeFixtures:
@@ -167,7 +173,7 @@ class TestDecodeProperties:
         cfg = AdmmConfig()
         state = AdmmState.initial(code)
         threshold = cfg.epsilon**2 * code.n_edges
-        for _ in range(cfg.t_max):
+        for t in range(1, cfg.t_max + 1):
             x_update(state, code, gamma, cfg)
             z_update(state, code, cfg)
             gathered = state.x[code.edge_var]
@@ -177,6 +183,9 @@ class TestDecodeProperties:
             if primal < threshold and moved < threshold:
                 break
         assert primal < threshold
+        # decode applies the same two-part rule.
+        out = decode(gamma, code, cfg)
+        assert out.iterations == t and np.array_equal(out.x, state.x)
         for j in range(code.n_checks):
             sl = code.check_slice(j)
             d = sl.stop - sl.start
@@ -223,7 +232,7 @@ class TestDecodeProperties:
 
     def test_message_passing_form_matches_one_iteration(self):
         # One iteration written as variable/check messages with scaled
-        # duals reproduces one iteration of the plain updates.
+        # duals reproduces one iteration of the state updates.
         code = gen_regular_ldpc(18, 3, 6, seed=8)
         rng = np.random.default_rng(9)
         gamma = rng.normal(0.0, 1.0, 18)
@@ -231,8 +240,9 @@ class TestDecodeProperties:
 
         state = AdmmState.initial(code)
         state.z = rng.uniform(0, 1, code.n_edges)
-        state.lam = rng.normal(0, 1, code.n_edges)
-        z0, lam0 = state.z.copy(), state.lam.copy()
+        lam0 = rng.normal(0, 1, code.n_edges)
+        state.u = lam0 / cfg.mu
+        z0 = state.z.copy()
         x_update(state, code, gamma, cfg)
         z_update(state, code, cfg)
         lambda_update(state, code, cfg)
@@ -253,7 +263,7 @@ class TestDecodeProperties:
             lam_next[sl] = lam_s[sl] + incoming - m_check[sl]
         assert np.abs(m_var - state.x).max() <= 1e-12
         assert np.abs(m_check - state.z).max() <= 1e-9
-        assert np.abs(lam_next * cfg.mu - state.lam).max() <= 1e-9
+        assert np.abs(lam_next * cfg.mu - state.u * cfg.mu).max() <= 1e-9
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -281,8 +291,8 @@ class TestInterleavedDegrees:
             state = make_state(code)
             state.x = rng.uniform(0.0, 1.0, code.n_vars)
             state.z = rng.uniform(-0.5, 1.5, code.n_edges)
-            state.lam = rng.normal(0.0, 2.0, code.n_edges)
-            v = cfg.rho * state.x[code.edge_var] + (1.0 - cfg.rho) * state.z + state.lam / cfg.mu
+            state.u = rng.normal(0.0, 2.0, code.n_edges) / cfg.mu
+            v = cfg.rho * state.x[code.edge_var] + (1.0 - cfg.rho) * state.z + state.u
             z = z_update(state, code, cfg)
             for j in range(code.n_checks):
                 sl = code.check_slice(j)
@@ -303,3 +313,87 @@ class TestInterleavedDegrees:
             assert np.abs(a.x - b.x).max() <= 1e-9
             statuses.add(a.status)
         assert STATUS_CONVERGED in statuses
+
+
+@pytest.mark.parametrize(
+    "code",
+    [gen_regular_ldpc(48, 3, 6, seed=4), interleaved_code(24, 14, seed=5)],
+    ids=["regular", "interleaved"],
+)
+def test_decode_invariant_under_variable_relabeling(code):
+    # Renaming the variables reorders the entries inside each check and
+    # the order of the edges of every variable's checks stays the same,
+    # so the outputs are the original ones, permuted.
+    perm = np.random.default_rng(10).permutation(code.n_vars)
+    relabeled = relabel_vars(code, perm)
+    rng = np.random.default_rng(2)
+    statuses = set()
+    for _ in range(30):
+        gamma = llr((rng.random(code.n_vars) < 0.08).astype(np.uint8), Bsc(0.08))
+        moved = np.empty_like(gamma)
+        moved[perm] = gamma
+        a = decode(gamma, code)
+        b = decode(moved, relabeled)
+        assert np.array_equal(a.hard_decision, b.hard_decision[perm])
+        assert (a.status, a.iterations) == (b.status, b.iterations)
+        assert np.abs(a.x - b.x[perm]).max() <= 1e-9
+        statuses.add(a.status)
+    assert statuses == {STATUS_CONVERGED, STATUS_MAX_ITERS}
+
+
+class TestDegenerateInputs:
+    CODE = gen_regular_ldpc(30, 3, 6, seed=1)
+
+    def test_all_zero_llrs(self):
+        # BSC p = 0.5: every codeword costs 0.  ADMM's first x-update is 0
+        # everywhere and dual ascent's Heaviside is 0 at 0, so both stop
+        # after one iteration on the certified zero word.  BP's beliefs
+        # stay exactly 0, never strictly decided, so it runs to t_max.
+        gamma = llr(np.zeros(30, dtype=np.uint8), Bsc(0.5))
+        assert np.all(gamma == 0.0)
+        for out in (decode(gamma, self.CODE), decode_dual_ascent(gamma, self.CODE)):
+            assert (out.status, out.iterations) == (STATUS_CONVERGED, 1)
+            assert out.ml_certificate and np.all(out.x == 0.0)
+        bp = decode_bp(gamma, self.CODE)
+        assert (bp.status, bp.iterations) == (STATUS_MAX_ITERS, 1000)
+        assert not bp.hard_decision.any() and not bp.integral
+
+    @pytest.mark.parametrize("llr_bit", [-5.0, 0.0, 2.0])
+    def test_lone_degree_one_check(self, llr_bit):
+        # PP_1 = {0}: the only point of the check's polytope.
+        out = decode(np.array([llr_bit]), ParityCheckMatrix(1, [[0]]))
+        assert out.status == STATUS_CONVERGED
+        assert out.x.tolist() == [0.0] and out.ml_certificate
+
+    def test_degree_one_check_forces_its_variable_to_zero(self):
+        # An extra check on variable 4 alone; its LLR favours 1 strongly.
+        code = ParityCheckMatrix(30, list(self.CODE.check_neighborhoods) + [[4]])
+        rng = np.random.default_rng(3)
+        certified = 0
+        for _ in range(12):
+            gamma = llr((rng.random(30) < 0.05).astype(np.uint8), Bsc(0.05))
+            gamma[4] = -3.0
+            out = decode(gamma, code)
+            assert out.x[4] <= INTEGRALITY_TOL and out.hard_decision[4] == 0
+            certified += out.ml_certificate
+        assert certified >= 6
+
+    def test_duplicated_check_leaves_integral_outputs_unchanged(self):
+        # A repeated check adds no constraint, so the LP and its integral
+        # optima are the same.  ADMM's path differs (the repeated check's
+        # variables average one more replica), so only frames that end
+        # integral are compared.
+        code = self.CODE
+        doubled = ParityCheckMatrix(30, list(code.check_neighborhoods) + [code.check_neighborhoods[2]])
+        rng = np.random.default_rng(5)
+        compared = 0
+        for _ in range(30):
+            gamma = llr((rng.random(30) < 0.08).astype(np.uint8), Bsc(0.08))
+            a = decode(gamma, code)
+            b = decode(gamma, doubled)
+            if a.status == STATUS_CONVERGED and a.integral:
+                assert b.status == STATUS_CONVERGED and b.integral
+                assert np.abs(a.x - b.x).max() <= 1e-9
+                assert np.array_equal(a.hard_decision, b.hard_decision)
+                compared += 1
+        assert compared >= 10

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polylp import (
     AlistParseError,
@@ -29,7 +31,81 @@ FIXTURE_ALIST = """\
 """
 
 
+# Fixed examples and no example database, so every run tries the same texts.
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=1500)
+ODD_TOKENS = ["x", "1.5", "-0", "+3", "1_0", "\u0663", "99999999999999999999", "0x1", "nan"]
+
+
+@st.composite
+def mutated_alists(draw):
+    """An alist text of a random small Tanner multigraph (zero-degree
+    rows and columns and parallel edges allowed, lines padded with
+    zeros), then up to four token or line edits."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 4))
+    h = [[draw(st.sampled_from([0, 0, 1, 1, 1, 2])) for _ in range(n)] for _ in range(m)]
+    cols = [[j + 1 for j in range(m) for _ in range(h[j][i])] for i in range(n)]
+    rows = [[i + 1 for i in range(n) for _ in range(h[j][i])] for j in range(m)]
+    col_max = max(map(len, cols))
+    row_max = max(map(len, rows))
+    lines = [[n, m], [col_max, row_max], [len(c) for c in cols], [len(r) for r in rows]]
+    lines += [c + [0] * draw(st.integers(0, 1)) for c in cols]
+    lines += [r + [0] * draw(st.integers(0, 1)) for r in rows]
+    lines = [[str(t) for t in ln] for ln in lines]
+    token = st.one_of(st.integers(-2, 7).map(str), st.sampled_from(ODD_TOKENS))
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["replace", "insert", "delete", "dup_line", "drop_line", "blank"]))
+        ln = lines[i]
+        if op == "replace" and ln:
+            ln[draw(st.integers(0, len(ln) - 1))] = draw(token)
+        elif op == "insert":
+            ln.insert(draw(st.integers(0, len(ln))), draw(token))
+        elif op == "delete" and ln:
+            del ln[draw(st.integers(0, len(ln) - 1))]
+        elif op == "dup_line":
+            lines.insert(i, list(ln))
+        elif op == "drop_line" and len(lines) > 1:
+            del lines[i]
+        elif op == "blank":
+            lines.insert(i, [])
+    sep = draw(st.sampled_from([" ", "  ", "\t"]))
+    return "\n".join(sep.join(ln) for ln in lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
+
+
+def parses_or_raises_parse_error(text):
+    try:
+        code = parse_alist(text)
+    except AlistParseError:
+        return
+    assert isinstance(code, ParityCheckMatrix)
+
+
+@FUZZ
+@given(mutated_alists())
+def test_parse_alist_fuzz_raises_only_parse_errors(text):
+    parses_or_raises_parse_error(text)
+
+
+@FUZZ
+@given(st.text(alphabet="0123456789 -\n\tx.", max_size=60))
+def test_parse_alist_fuzz_on_raw_text(text):
+    parses_or_raises_parse_error(text)
+
+
 class TestParseAlist:
+    def test_parallel_edge_is_parse_error(self):
+        # Found by the fuzz above: row 1 and column 1 both list their one
+        # edge twice.  It used to raise a plain ValueError.
+        with pytest.raises(AlistParseError, match="line 6: row 1 lists a variable twice"):
+            parse_alist("1 1\n2 2\n2\n2\n1 1\n1 1\n")
+        with pytest.raises(AlistParseError, match="line 6: row 1 lists a variable twice"):
+            parse_alist("1 1\n1 2\n1\n2\n1\n1 1\n")
+        # Only the column repeats the edge: it used to parse, with a column
+        # degree of 2 for a variable in one check.
+        with pytest.raises(AlistParseError, match="line 5: column 1 lists a check twice"):
+            parse_alist("1 1\n2 1\n2\n1\n1 1\n1\n")
+
     def test_fixture(self):
         code = parse_alist(FIXTURE_ALIST)
         assert (code.n_vars, code.n_checks) == (3, 2)

@@ -7,6 +7,7 @@ from polylp import (
     even_ceil,
     even_floor,
     maximize_linear,
+    maximize_linear_batch,
     membership,
     project_batch,
     project_hypercube,
@@ -17,6 +18,7 @@ from oracles import (
     even_weight_vertices,
     hull_membership,
     hull_project,
+    maximize_linear_scalar,
     project_breakpoint_march,
 )
 
@@ -277,6 +279,50 @@ class TestMaximizeLinear:
             assert z.sum() % 2 == 0
             best = float((even_weight_vertices(d) @ c).max())
             assert float(c @ z) == pytest.approx(best, abs=1e-12)
+
+
+class TestMaximizeLinearBatch:
+    @staticmethod
+    def rows(rng, m, d):
+        # Normal costs with exact zeros and repeated values, so ties hit
+        # both the smallest positive and the largest non-positive entry.
+        c = rng.normal(0, 2, (m, d))
+        c[rng.random((m, d)) < 0.25] = 0.0
+        c[rng.random((m, d)) < 0.15] = 1.0
+        c[rng.random((m, d)) < 0.1] = -1.0
+        return c
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 6, 7, 10, 32])
+    def test_matches_scalar_rule(self, d):
+        c = self.rows(np.random.default_rng(40 + d), 600, d)
+        z = maximize_linear_batch(c)
+        assert z.dtype == np.int8 and z.shape == c.shape
+        for row, got in zip(c, z):
+            assert np.array_equal(got, maximize_linear_scalar(row))
+            assert np.array_equal(got, maximize_linear(row))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 6, 8, 10])
+    def test_matches_enumeration(self, d):
+        c = self.rows(np.random.default_rng(50 + d), 300, d)
+        z = maximize_linear_batch(c)
+        assert np.all(z.sum(axis=1) % 2 == 0)
+        best = (c @ even_weight_vertices(d).T).max(axis=1)
+        assert np.abs((c * z).sum(axis=1) - best).max() <= 1e-12
+
+    def test_rows_are_independent(self):
+        c = self.rows(np.random.default_rng(60), 200, 6)
+        z = maximize_linear_batch(c)
+        for k in (1, 7, 50):
+            assert np.array_equal(maximize_linear_batch(c[k : k + 3]), z[k : k + 3])
+        assert maximize_linear_batch(np.empty((0, 6))).shape == (0, 6)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="finite"):
+            maximize_linear_batch(np.array([[1.0, np.nan]]))
+        with pytest.raises(ValueError, match=r"\(m, d\)"):
+            maximize_linear_batch(np.ones(3))
+        with pytest.raises(ValueError, match=r"\(m, d\)"):
+            maximize_linear_batch(np.ones((2, 0)))
 
 
 class TestOrderAndSymmetry:

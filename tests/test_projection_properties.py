@@ -273,8 +273,8 @@ def test_degrees_one_and_two(d):
     ])
     z = assert_matches_march(values)
     if d == 1:
-        # (v - 1) + 1 rounds, so a zero can come back as a few ulps.
-        assert np.abs(z).max() <= 1e-12
+        # The only point of PP_1 comes back exactly.
+        assert np.all(z == 0.0)
     else:
         assert np.abs(z[:, 0] - z[:, 1]).max() <= 1e-9
         mean = np.clip(values.mean(axis=1), 0.0, 1.0)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,32 @@ class TestSweep:
         a = sweep(code, points, ADMM_FAST, n_trials=60, seed=8, workers=1)
         b = sweep(code, points, ADMM_FAST, n_trials=60, seed=8, workers=3)
         assert stats_to_csv(a, timing=False) == stats_to_csv(b, timing=False)
+
+    @staticmethod
+    def untimed(stats):
+        return dataclasses.replace(stats, time_sum_correct=0.0, time_sum_erroneous=0.0)
+
+    def test_target_errors_truncation_is_worker_count_invariant(self):
+        # The target is met past the first 256-trial wave, inside the
+        # second, so the run truncates a wave that several workers shared.
+        code = gen_regular_ldpc(32, 3, 6, seed=1)
+        runs = [
+            run_point(code, Bsc(0.015), ADMM_FAST, target_errors=20, seed=11, workers=w)
+            for w in (1, 3)
+        ]
+        assert runs[0].word_errors == 20 and 256 < runs[0].trials < 512
+        assert self.untimed(runs[0]) == self.untimed(runs[1])
+
+    def test_max_trials_cap_is_worker_count_invariant(self):
+        # The cap ends the run in the middle of the second wave.
+        code = gen_regular_ldpc(32, 3, 6, seed=1)
+        runs = [
+            run_point(code, Bsc(0.015), ADMM_FAST, target_errors=1000, max_trials=300,
+                      seed=12, workers=w)
+            for w in (1, 3)
+        ]
+        assert runs[0].trials == 300 and runs[0].word_errors > 0
+        assert self.untimed(runs[0]) == self.untimed(runs[1])
 
     def test_wer_improves_with_channel_quality(self):
         code = gen_regular_ldpc(32, 3, 6, seed=1)
