@@ -27,17 +27,12 @@ from .codes import (
 from .dual_ascent import DualAscentConfig, decode_dual_ascent
 from .parity_polytope import (
     ProjectionWorkspace,
-    TwoSliceDecomposition,
-    constituent_parity,
-    even_ceil,
     even_floor,
     maximize_linear,
     maximize_linear_batch,
     membership,
     project_batch,
-    project_hypercube,
     project_parity_polytope,
-    two_slice_decompose,
 )
 from .simulator import (
     DecoderRef,
@@ -69,13 +64,10 @@ __all__ = [
     "STATUS_CONVERGED",
     "STATUS_MAX_ITERS",
     "TrialStats",
-    "TwoSliceDecomposition",
-    "constituent_parity",
     "decode",
     "decode_bp",
     "decode_dual_ascent",
     "emit_alist",
-    "even_ceil",
     "even_floor",
     "gen_regular_ldpc",
     "is_codeword",
@@ -87,11 +79,9 @@ __all__ = [
     "parse_alist",
     "posterior_llrs",
     "project_batch",
-    "project_hypercube",
     "project_parity_polytope",
     "run_point",
     "stats_to_csv",
     "sweep",
     "transmit",
-    "two_slice_decompose",
 ]

@@ -136,15 +136,9 @@ def z_update(
     state.x_edges = state.x[code.edge_var]
     v = config.rho * state.x_edges + (1.0 - config.rho) * state.z
     v += state.u
-    blocks = code.degree_blocks
-    if len(blocks) == 1:
-        # One degree: the whole edge vector is the group's (m, d) rows.
-        (d,) = blocks
-        z_new = project_batch(v.reshape(-1, d)).reshape(-1)
-    else:
-        z_new = np.empty_like(v)
-        for d, sel in blocks.items():
-            z_new[sel] = project_batch(v[sel].reshape(-1, d)).reshape(-1)
+    # project_batch is looked up here on every call, so a wrapper put on
+    # this module's name sees each projection.
+    z_new = code.map_checks(project_batch, v)
     state.z_prev = state.z
     state.v = v
     state.z = z_new

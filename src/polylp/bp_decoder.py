@@ -34,22 +34,24 @@ class BpConfig:
             raise ValueError("llr_clip must be positive")
 
 
+def _leave_one_out_products(t: NDArray[np.float64]) -> NDArray[np.float64]:
+    # Each entry's product of the other entries of its row, as prefix *
+    # suffix so that a zero message never forces a division.
+    left = np.ones_like(t)
+    right = np.ones_like(t)
+    np.cumprod(t[:, :-1], axis=1, out=left[:, 1:])
+    np.cumprod(t[:, :0:-1], axis=1, out=right[:, -2::-1])
+    return left * right
+
+
 def _check_node_update(
     v2c: NDArray[np.float64], code: ParityCheckMatrix, clip: float
 ) -> NDArray[np.float64]:
-    # tanh-rule with leave-one-out products taken as prefix * suffix so a
-    # zero message never forces a division.
+    # tanh rule over the leave-one-out products of each check.
     half = np.tanh(np.clip(0.5 * v2c, -0.5 * clip, 0.5 * clip))
-    c2v = np.empty_like(v2c)
-    for d, sel in code.degree_blocks.items():
-        t = half[sel].reshape(-1, d)
-        left = np.ones_like(t)
-        right = np.ones_like(t)
-        np.cumprod(t[:, :-1], axis=1, out=left[:, 1:])
-        np.cumprod(t[:, :0:-1], axis=1, out=right[:, -2::-1])
-        prod = np.clip(left * right, -_ATANH_GUARD, _ATANH_GUARD)
-        c2v[sel] = np.clip(2.0 * np.arctanh(prod), -clip, clip).reshape(-1)
-    return c2v
+    prod = code.map_checks(_leave_one_out_products, half)
+    prod = np.clip(prod, -_ATANH_GUARD, _ATANH_GUARD)
+    return np.clip(2.0 * np.arctanh(prod), -clip, clip)
 
 
 def posterior_llrs(

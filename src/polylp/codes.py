@@ -8,6 +8,7 @@ model sampler for random regular LDPC ensembles.
 from __future__ import annotations
 
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -147,6 +148,30 @@ class ParityCheckMatrix:
             else:
                 blocks[d] = flat
         return blocks
+
+    def map_checks(
+        self,
+        fn: Callable[[NDArray[np.float64]], NDArray],
+        v: NDArray[np.float64],
+    ) -> NDArray[np.float64]:
+        """Apply a row function to each degree group of an edge-flat ``v``.
+
+        ``fn`` maps a group's (m_d, d) rows, one check per row, to a new
+        array of that shape and must not write to its input; the result
+        is edge-flat with ``v``'s dtype.  A code with one check degree
+        hands ``fn`` all of ``v`` as an (m, d) view and returns its rows
+        without a scatter.
+        """
+        if v.shape != self.edge_var.shape:
+            raise ValueError(f"expected an edge-flat vector of length {self.edge_var.size}")
+        blocks = self.degree_blocks
+        if len(blocks) == 1:
+            (d,) = blocks
+            return fn(v.reshape(-1, d)).reshape(-1).astype(v.dtype, copy=False)
+        out = np.empty_like(v)
+        for d, sel in blocks.items():
+            out[sel] = fn(v[sel].reshape(-1, d)).reshape(-1)
+        return out
 
     @cached_property
     def check_columns(self) -> tuple[NDArray[np.int64], ...]:

@@ -58,9 +58,7 @@ def decode_dual_ascent(
         dual_load = np.bincount(ev, weights=lam, minlength=code.n_vars)
         # Heaviside with theta(0) = 0.
         x = ((-gamma - dual_load) > 0.0).astype(float)
-        z = np.empty(code.n_edges)
-        for d, sel in code.degree_blocks.items():
-            z[sel] = maximize_linear_batch(lam[sel].reshape(-1, d)).reshape(-1)
+        z = code.map_checks(maximize_linear_batch, lam)
         residual = x[ev] - z
         if float((residual**2).sum()) < threshold:
             status = STATUS_CONVERGED

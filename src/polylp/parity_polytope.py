@@ -1,17 +1,18 @@
-"""Geometry of the parity polytope: membership, two-slice decomposition,
-exact Euclidean projection, and linear maximization.
+"""Geometry of the parity polytope: membership, exact Euclidean
+projection, and linear maximization.
 
 The parity polytope ``PP_d`` is the convex hull of all even-weight binary
 vectors of length ``d``.  Projection onto it is the workhorse of the
 ADMM LP decoder: every check-node update is one projection.  The methods
 here run in O(d log d), dominated by a single sort; the batch kernel
-skips even that for rows that pass an O(d) cut test.
+skips even that for rows that pass an O(d) cut test.  The paper's
+two-slice lemma lives in :func:`membership`, as its majorization test.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -25,41 +26,6 @@ def even_floor(a: float) -> int:
     if math.isnan(a):
         raise ValueError("even_floor of NaN")
     return 2 * math.floor(a / 2.0)
-
-
-def even_ceil(a: float) -> int:
-    """Smallest even integer greater than or equal to ``a``."""
-    if math.isnan(a):
-        raise ValueError("even_ceil of NaN")
-    return 2 * math.ceil(a / 2.0)
-
-
-def project_hypercube(v: ArrayLike) -> NDArray[np.float64]:
-    """Componentwise projection onto the unit hypercube [0, 1]^d."""
-    return np.clip(np.asarray(v, dtype=float), 0.0, 1.0)
-
-
-def constituent_parity(v: ArrayLike) -> int:
-    """Constituent parity of the projection of ``v`` onto the parity polytope.
-
-    Equals the even floor of the l1 norm of the hypercube projection of
-    ``v``; the l1 norm of the polytope projection is bracketed between
-    this value and the even ceiling.
-    """
-    return even_floor(float(project_hypercube(v).sum()))
-
-
-@dataclass(frozen=True)
-class TwoSliceDecomposition:
-    """Convex split of a parity-polytope point across two adjacent slices.
-
-    A point ``u`` with ``r = even_floor(||u||_1)`` is a convex combination
-    of a weight-``r`` and a weight-``(r+2)`` permutahedron point, with
-    weight ``alpha`` on the lower slice.
-    """
-
-    r: int
-    alpha: float
 
 
 def _snapped_parity(s: float) -> int:
@@ -92,37 +58,18 @@ def membership(u: ArrayLike, tol: float = PARITY_TOL) -> bool:
     return bool(np.all(prefix <= bound + tol))
 
 
-def two_slice_decompose(u: ArrayLike, tol: float = PARITY_TOL) -> TwoSliceDecomposition:
-    """Decompose a parity-polytope point into its two-slice form.
-
-    Returns ``(r, alpha)`` with ``||u||_1 = alpha*r + (1-alpha)*(r+2)``.
-    Raises ``ValueError`` if ``u`` is not in the polytope.
-    """
-    u = np.asarray(u, dtype=float)
-    if not membership(u, tol):
-        raise ValueError("vector is not in the parity polytope")
-    s = min(max(float(u.sum()), 0.0), float(u.size))
-    r = min(_snapped_parity(s), even_floor(float(u.size)))
-    alpha = min(max((2.0 + r - s) / 2.0, 0.0), 1.0)
-    return TwoSliceDecomposition(r=r, alpha=alpha)
-
-
 @dataclass
 class ProjectionWorkspace:
-    """Scratch state and diagnostics for one projection call.
+    """Diagnostics of one projection call, owned by one caller at a time.
 
-    Owned by a single caller at a time.  After a call that received this
-    workspace, the fields describe the solved instance: the descending
-    sort and permutation, constituent parity ``r``, ``beta_max``, the
-    merged activation breakpoints clipped to ``[0, beta_max]``, and the
-    located ``beta_opt``.
+    After a call that received this workspace, the fields describe the
+    solved instance: the descending sort ``v_sorted`` of the input, the
+    constituent parity ``r``, and the located ``beta_opt`` (0 when the
+    clipped input is already in the polytope).
     """
 
     v_sorted: NDArray[np.float64] | None = None
-    perm: NDArray[np.intp] | None = None
     r: int = 0
-    beta_max: float = 0.0
-    breakpoints: NDArray[np.float64] = field(default_factory=lambda: np.empty(0))
     beta_opt: float = 0.0
 
 
@@ -133,31 +80,6 @@ def _check_input(u: ArrayLike) -> NDArray[np.float64]:
     if not np.all(np.isfinite(u)):
         raise ValueError("projection input must be finite")
     return u
-
-
-def _sign_pattern(d: int, r: int) -> NDArray[np.float64]:
-    # +1 on the r+1 largest coordinates, -1 on the rest.
-    f = np.ones(d)
-    f[r + 1 :] = -1.0
-    return f
-
-
-def _beta_limit(v: NDArray[np.float64], r: int) -> float:
-    d = v.size
-    if r <= d - 2:
-        return 0.5 * (v[r] - v[r + 1])
-    return float(v[r])
-
-
-def _merged_activation_breakpoints(
-    v: NDArray[np.float64], r: int, beta_max: float
-) -> NDArray[np.float64]:
-    # Betas at which a clipped large coordinate or a zeroed small
-    # coordinate enters the active band, restricted to [0, beta_max].
-    cand = np.concatenate([v[: r + 1] - 1.0, -v[r + 1 :]])
-    cand = cand[(cand >= 0.0) & (cand <= beta_max)]
-    cand.sort()
-    return cand
 
 
 def _line_values(
@@ -203,19 +125,19 @@ def project_parity_polytope(
     r = even_floor(float(z_hat.sum()))
 
     beta_opt = 0.0
-    beta_max = 0.0
-    breakpoints = np.empty(0)
     z_sorted = z_hat
     if r < d:
         fz = 2.0 * float(z_hat[: r + 1].sum()) - float(z_hat.sum())
-        beta_max = _beta_limit(v, r)
-        breakpoints = _merged_activation_breakpoints(v, r, beta_max)
+        beta_max = 0.5 * (v[r] - v[r + 1]) if r <= d - 2 else float(v[r])
         if fz > r + PARITY_TOL and beta_max > 0.0:
-            # Grid of all kinks of the line value: activations plus the
-            # betas where an active coordinate saturates at 0 or 1.
+            # Grid of all kinks of the line value: the betas where a
+            # clipped large or a zeroed small coordinate becomes active,
+            # then those where an active coordinate saturates at 0 or 1.
+            act = np.concatenate([v[: r + 1] - 1.0, -v[r + 1 :]])
+            act = np.sort(act[(act >= 0.0) & (act <= beta_max)])
             cand = np.concatenate([v[: r + 1], 1.0 - v[r + 1 :]])
             cand = cand[(cand >= 0.0) & (cand <= beta_max)]
-            grid = np.concatenate([[0.0], breakpoints, cand, [beta_max]])
+            grid = np.concatenate([[0.0], act, cand, [beta_max]])
             grid.sort()
             g = _line_values(v, r, grid)
             hit = g <= r
@@ -226,14 +148,14 @@ def project_parity_polytope(
                 b0, b1 = grid[idx - 1], grid[idx]
                 g0, g1 = g[idx - 1], g[idx]
                 beta_opt = b0 + (g0 - r) * (b1 - b0) / (g0 - g1) if g0 > g1 else b1
-            z_sorted = np.clip(v - beta_opt * _sign_pattern(d, r), 0.0, 1.0)
+            # f_r is +1 on the r+1 largest coordinates, -1 on the rest.
+            f = np.ones(d)
+            f[r + 1 :] = -1.0
+            z_sorted = np.clip(v - beta_opt * f, 0.0, 1.0)
 
     if workspace is not None:
         workspace.v_sorted = v
-        workspace.perm = perm
         workspace.r = r
-        workspace.beta_max = beta_max
-        workspace.breakpoints = breakpoints
         workspace.beta_opt = beta_opt
 
     out = np.empty(d)

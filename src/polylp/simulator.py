@@ -89,6 +89,18 @@ class MlOutcome(enum.Enum):
     UNKNOWN_AS_SUCCESS = "unknown_counted_as_success"
 
 
+def _sent_word(code: ParityCheckMatrix, transmitted: ArrayLike | None) -> NDArray[np.uint8]:
+    """The transmitted word as bits: all zero when not given, else the
+    given word once it checks out as a codeword of ``code``."""
+    if transmitted is None:
+        return np.zeros(code.n_vars, dtype=np.uint8)
+    sent = np.asarray(transmitted)
+    # is_codeword also rejects a wrong length and entries other than 0 and 1.
+    if not is_codeword(code, sent):
+        raise ValueError("transmitted word must be a codeword")
+    return sent.astype(np.uint8)
+
+
 def ml_account(
     output: DecodeOutput,
     gamma: NDArray[np.float64],
@@ -102,11 +114,7 @@ def ml_account(
     fail.  Ties and non-codeword outputs count as ML successes, making
     the resulting error count a lower bound.
     """
-    sent = (
-        np.zeros(code.n_vars, dtype=np.uint8)
-        if transmitted is None
-        else np.asarray(transmitted, dtype=np.uint8)
-    )
+    sent = _sent_word(code, transmitted)
     est = output.hard_decision
     if not is_codeword(code, est):
         return MlOutcome.UNKNOWN_AS_SUCCESS
@@ -246,52 +254,37 @@ def run_point(
     index), never on the worker count.
     """
     _check_budget(n_trials, target_errors, max_trials, workers)
-    sent = (
-        np.zeros(code.n_vars, dtype=np.uint8)
-        if transmitted is None
-        else np.asarray(transmitted, dtype=np.uint8)
-    )
-    if not is_codeword(code, sent):
-        raise ValueError("transmitted word must be a codeword")
+    sent = _sent_word(code, transmitted)
+    # A fixed budget is one wave that no error count stops.  Waves of a
+    # fixed size keep the trial order, and therefore the stopping point,
+    # independent of the worker count.
+    if n_trials is not None:
+        limit, wave_size, target = n_trials, n_trials, n_trials + 1
+    else:
+        limit, wave_size, target = max_trials, 256, target_errors
 
     own_pool = False
     if workers > 1 and pool is None:
         pool = ProcessPoolExecutor(max_workers=workers)
         own_pool = True
+    records: list[_TrialRecord] = []
+    errors = 0
     try:
-        if n_trials is not None:
-            records = _wave(
+        while errors < target and len(records) < limit:
+            lo = len(records)
+            batch = _wave(
                 code, channel, decoder, sent, seed, point_index,
-                range(n_trials), workers, pool,
+                range(lo, min(lo + wave_size, limit)), workers, pool,
             )
-        else:
-            # Waves of a fixed size keep the trial order, and therefore the
-            # stopping point, independent of the worker count.
-            records = []
-            errors = 0
-            next_index = 0
-            wave_size = 256
-            while errors < target_errors and next_index < max_trials:
-                hi = min(next_index + wave_size, max_trials)
-                batch = _wave(
-                    code, channel, decoder, sent, seed, point_index,
-                    range(next_index, hi), workers, pool,
-                )
-                records.extend(batch)
-                errors += sum(1 for rec in batch if rec[0])
-                next_index = hi
-            if errors >= target_errors:
-                # Truncate exactly at the trial that met the target.
-                count = 0
-                for k, rec in enumerate(records):
-                    if rec[0]:
-                        count += 1
-                        if count == target_errors:
-                            records = records[: k + 1]
-                            break
+            records.extend(batch)
+            errors += sum(1 for rec in batch if rec[0])
     finally:
         if own_pool and pool is not None:
             pool.shutdown()
+    if errors >= target:
+        # Truncate exactly at the trial that met the target.
+        hits = [k for k, rec in enumerate(records) if rec[0]]
+        records = records[: hits[target - 1] + 1]
 
     stats = TrialStats(
         decoder_id=decoder.algo,

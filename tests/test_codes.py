@@ -199,6 +199,41 @@ class TestParityCheckMatrix:
         assert isinstance(code.degree_blocks[3], slice)
         assert isinstance(code.degree_blocks[2], np.ndarray)
 
+    @pytest.mark.parametrize(
+        "code",
+        [gen_regular_ldpc(30, 3, 6, seed=2), interleaved_code(20, 12, seed=1)],
+        ids=["regular", "interleaved"],
+    )
+    def test_map_checks_equals_per_check_loop(self, code):
+        # One slice for the regular code, edge indices for the interleaved
+        # one; either way each check's row comes back in its own edges.
+        v = np.random.default_rng(3).normal(size=code.n_edges)
+        keep = v.copy()
+        got = code.map_checks(lambda t: np.cumsum(t, axis=1), v)
+        want = np.empty_like(v)
+        for j in range(code.n_checks):
+            sl = code.check_slice(j)
+            want[sl] = np.cumsum(v[sl])
+        assert np.array_equal(got, want)
+        assert np.array_equal(v, keep)
+
+    def test_map_checks_hands_a_one_degree_code_all_rows_at_once(self):
+        code = gen_regular_ldpc(30, 3, 6, seed=2)
+        shapes = []
+
+        def double(t):
+            shapes.append(t.shape)
+            return 2.0 * t
+
+        v = np.arange(code.n_edges, dtype=float)
+        assert np.array_equal(code.map_checks(double, v), 2.0 * v)
+        assert shapes == [(code.n_checks, 6)]
+
+    def test_map_checks_rejects_a_vector_that_is_not_edge_flat(self):
+        code = interleaved_code(20, 12, seed=1)
+        with pytest.raises(ValueError, match="edge-flat"):
+            code.map_checks(lambda t: t, np.zeros(code.n_edges + 1))
+
 
 class TestGenRegular:
     def test_long_ensemble_code(self):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polylp import constituent_parity, membership, project_batch
+from polylp import even_floor, membership, project_batch
 from oracles import even_weight_vertices, hull_project, project_breakpoint_march
 
 # Fixed examples and no example database, so every run tries the same rows.
@@ -224,7 +224,8 @@ def test_root_at_the_edge_of_its_facet():
     rng = np.random.default_rng(23)
     for d in range(2, 13):
         values = two_ramp_rows(rng, 30, d)
-        assert all(constituent_parity(u) == 0 for u in values)
+        # Constituent parity 0: the even floor of each clipped row's sum.
+        assert all(even_floor(float(np.clip(u, 0.0, 1.0).sum())) == 0 for u in values)
         z = assert_matches_march(values)
         top = values.max(axis=1, keepdims=True)
         second = np.sort(values, axis=1)[:, -2:-1]

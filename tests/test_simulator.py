@@ -9,6 +9,7 @@ from polylp import (
     DecodeOutput,
     DecoderRef,
     MlOutcome,
+    ParityCheckMatrix,
     STATUS_CONVERGED,
     gen_regular_ldpc,
     llr,
@@ -63,6 +64,16 @@ class TestRunPoint:
         with pytest.raises(ValueError, match="codeword"):
             run_point(code, Bsc(0.1), ADMM, n_trials=1, seed=0,
                       transmitted=np.array([1, 0, 0, 0, 0, 0, 0]))
+
+    @pytest.mark.parametrize("word", [[1.7, 1.2, 1.9], [0.6, 0.2, 0.9]])
+    def test_rejects_a_word_that_only_casts_to_a_codeword(self, word):
+        # Cast to bits these are the codewords 111 and 000 of this code.
+        code = ParityCheckMatrix.from_dense([[1, 1, 0], [0, 1, 1]])
+        with pytest.raises(ValueError, match="0 or 1"):
+            run_point(code, Bsc(0.1), ADMM, n_trials=2, seed=0, transmitted=word)
+        out = decode(np.ones(3), code)
+        with pytest.raises(ValueError, match="0 or 1"):
+            ml_account(out, np.ones(3), code, transmitted=word)
 
     def test_rejects_fewer_than_one_worker(self):
         code = hamming_7_4()
