@@ -25,65 +25,82 @@ class CodeGenerationError(RuntimeError):
 class ParityCheckMatrix:
     """Sparse M x N parity-check matrix with neighborhood queries.
 
-    Checks and variables are 0-based internally.  ``check_neighborhoods[j]``
-    is the sorted array of variable indices in check ``j``; selecting those
-    entries of a length-N vector realizes the check's gather operator, and
-    the per-variable neighborhoods realize its transpose.  Instances are
-    immutable after construction and safe to share across workers.
+    Checks and variables are 0-based internally.  The matrix is stored as
+    one read-only CSR pair: ``edge_var`` lists the variable of each edge,
+    edges grouped by check and sorted within it, and the edges of check
+    ``j`` are ``check_ptr[j]:check_ptr[j+1]``.  ``check_neighborhoods[j]``
+    is that slice of ``edge_var``; selecting those entries of a length-N
+    vector realizes the check's gather operator, and the per-variable
+    neighborhoods realize its transpose.  Instances are immutable after
+    construction and safe to share across workers.
     """
 
     def __init__(self, n_vars: int, check_neighborhoods: list[ArrayLike]):
         if n_vars <= 0:
             raise ValueError("n_vars must be positive")
-        if not check_neighborhoods:
+        nbhds = [np.asarray(nb) for nb in check_neighborhoods]
+        if not nbhds:
             raise ValueError("need at least one check")
-        checks: list[NDArray[np.int64]] = []
-        for j, nbhd in enumerate(check_neighborhoods):
-            arr = np.asarray(nbhd, dtype=np.int64)
-            arr = np.sort(arr)
-            if arr.size == 0:
-                raise ValueError(f"check {j} has no variables")
-            if arr[0] < 0 or arr[-1] >= n_vars:
-                raise ValueError(f"check {j} has a variable index out of range")
-            if np.any(np.diff(arr) == 0):
-                raise ValueError(f"check {j} has a parallel edge")
-            arr.flags.writeable = False
-            checks.append(arr)
+        # The checks before the first one that is not a 1-D integer array
+        # are validated together; a fault among them comes first.
+        well_formed = [a.ndim == 1 and (a.size == 0 or a.dtype.kind in "iu") for a in nbhds]
+        m = (well_formed + [False]).index(False)
+        sizes = np.array([a.size for a in nbhds[:m]], dtype=np.int64)
+        flat = np.concatenate(nbhds[:m] or [[]], dtype=np.int64, casting="unsafe")
+        check_of = np.repeat(np.arange(m), sizes)
+        flat = flat[np.lexsort((flat, check_of))]
+        fault = _first_fault(
+            (np.flatnonzero(sizes == 0), "has no variables"),
+            (check_of[(flat < 0) | (flat >= n_vars)], "has a variable index out of range"),
+            (check_of[1:][(np.diff(flat) == 0) & (np.diff(check_of) == 0)], "has a parallel edge"),
+            (np.arange(m, len(nbhds)), "must be a 1-D array of integer variable indices"),
+        )
+        if fault:
+            raise ValueError("check {} {}".format(*fault))
+        ptr = np.concatenate([[0], np.cumsum(sizes)])
+        flat.flags.writeable = ptr.flags.writeable = False
         self.n_vars = n_vars
-        self.n_checks = len(checks)
-        self.check_neighborhoods: tuple[NDArray[np.int64], ...] = tuple(checks)
-
-        var_lists: list[list[int]] = [[] for _ in range(n_vars)]
-        for j, arr in enumerate(self.check_neighborhoods):
-            for i in arr:
-                var_lists[int(i)].append(j)
-        vars_: list[NDArray[np.int64]] = []
-        for lst in var_lists:
-            a = np.asarray(lst, dtype=np.int64)
-            a.flags.writeable = False
-            vars_.append(a)
-        self.var_neighborhoods: tuple[NDArray[np.int64], ...] = tuple(vars_)
+        self.n_checks = m
+        self.edge_var: NDArray[np.int64] = flat
+        self.check_ptr: NDArray[np.int64] = ptr
 
     @classmethod
     def from_dense(cls, h: ArrayLike) -> "ParityCheckMatrix":
         h = np.asarray(h)
         if h.ndim != 2:
             raise ValueError("dense parity-check matrix must be 2-D")
+        if not ((h == 0) | (h == 1)).all():
+            raise ValueError("dense parity-check matrix entries must be 0 or 1")
         return cls(h.shape[1], [np.flatnonzero(row) for row in h])
 
     def to_dense(self) -> NDArray[np.uint8]:
         h = np.zeros((self.n_checks, self.n_vars), dtype=np.uint8)
-        for j, nbhd in enumerate(self.check_neighborhoods):
-            h[j, nbhd] = 1
+        h[np.repeat(np.arange(self.n_checks), self.check_degrees), self.edge_var] = 1
         return h
 
     @cached_property
+    def check_neighborhoods(self) -> tuple[NDArray[np.int64], ...]:
+        return _slices(self.edge_var, self.check_degrees)
+
+    @cached_property
+    def _var_checks(self) -> NDArray[np.int64]:
+        """Check index of each edge, edges grouped by variable in check order."""
+        by_var = np.argsort(self.edge_var, kind="stable")
+        checks = np.repeat(np.arange(self.n_checks), self.check_degrees)[by_var]
+        checks.flags.writeable = False
+        return checks
+
+    @cached_property
+    def var_neighborhoods(self) -> tuple[NDArray[np.int64], ...]:
+        return _slices(self._var_checks, self.var_degrees)
+
+    @cached_property
     def check_degrees(self) -> NDArray[np.int64]:
-        return np.array([a.size for a in self.check_neighborhoods], dtype=np.int64)
+        return np.diff(self.check_ptr)
 
     @cached_property
     def var_degrees(self) -> NDArray[np.int64]:
-        return np.array([a.size for a in self.var_neighborhoods], dtype=np.int64)
+        return np.bincount(self.edge_var, minlength=self.n_vars)
 
     @cached_property
     def var_divisor(self) -> NDArray[np.float64]:
@@ -101,17 +118,7 @@ class ParityCheckMatrix:
 
     @property
     def n_edges(self) -> int:
-        return int(self.check_degrees.sum())
-
-    @cached_property
-    def edge_var(self) -> NDArray[np.int64]:
-        """Variable index of each edge, edges grouped by check."""
-        return np.concatenate(self.check_neighborhoods)
-
-    @cached_property
-    def check_ptr(self) -> NDArray[np.int64]:
-        """CSR-style offsets: edges of check j are check_ptr[j]:check_ptr[j+1]."""
-        return np.concatenate([[0], np.cumsum(self.check_degrees)])
+        return self.edge_var.size
 
     def check_slice(self, j: int) -> slice:
         return slice(int(self.check_ptr[j]), int(self.check_ptr[j + 1]))
@@ -191,25 +198,36 @@ class ParityCheckMatrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ParityCheckMatrix):
             return NotImplemented
-        return self.n_vars == other.n_vars and len(self.check_neighborhoods) == len(
-            other.check_neighborhoods
-        ) and all(
-            np.array_equal(a, b)
-            for a, b in zip(self.check_neighborhoods, other.check_neighborhoods)
+        return (
+            self.n_vars == other.n_vars
+            and np.array_equal(self.check_ptr, other.check_ptr)
+            and np.array_equal(self.edge_var, other.edge_var)
         )
 
     def __repr__(self) -> str:
         return f"ParityCheckMatrix(n_vars={self.n_vars}, n_checks={self.n_checks})"
 
-    # Plain-data pickling keeps instances cheap to ship to worker processes.
-    def __getstate__(self) -> dict:
-        return {
-            "n_vars": self.n_vars,
-            "checks": [np.asarray(a) for a in self.check_neighborhoods],
-        }
+    # Workers receive the CSR pair, which unpickling validates as the
+    # constructor does.
+    def __getstate__(self) -> tuple:
+        return self.n_vars, self.edge_var, self.check_ptr
 
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(state["n_vars"], state["checks"])
+    def __setstate__(self, state: tuple) -> None:
+        n_vars, edge_var, check_ptr = state
+        self.__init__(n_vars, _slices(edge_var, np.diff(check_ptr)))
+
+
+def _first_fault(*faults: tuple[NDArray[np.int64], str]) -> tuple[int, str] | None:
+    """The lowest index among ``(indices, fault)`` pairs, with its fault;
+    on a tie the earlier pair wins.  None when every pair is empty."""
+    found = [(int(js.min()), fault) for js, fault in faults if js.size]
+    return min(found, key=lambda f: f[0]) if found else None
+
+
+def _slices(flat: NDArray | list[str], sizes: ArrayLike) -> tuple:
+    """``flat`` cut into consecutive runs of the given sizes (views of an array)."""
+    bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
+    return tuple(flat[a:b] for a, b in zip(bounds, bounds[1:]))
 
 
 def is_codeword(code: ParityCheckMatrix, x: ArrayLike) -> bool:
@@ -287,66 +305,59 @@ def parse_alist(text: str) -> ParityCheckMatrix:
             f"line {min(len(lines), expected) + 1}: expected {expected} lines, got {len(lines)}"
         )
 
-    cols: list[list[int]] = []
-    for k in range(n):
-        ln = 4 + k
-        entries = [e for e in _tokens_of_line(lines, ln, "column entries") if e != 0]
-        if len(entries) != col_degs[k]:
-            raise AlistParseError(
-                f"line {ln + 1}: column {k + 1} lists {len(entries)} checks, "
-                f"degree says {col_degs[k]}"
-            )
-        if any(e < 1 or e > m for e in entries):
-            raise AlistParseError(f"line {ln + 1}: check index out of range")
-        cols.append(sorted(e - 1 for e in entries))
+    checks = _section(lines, 4, col_degs, m, "column", "check")
+    variables = _section(lines, 4 + n, row_degs, n, "row", "variable")
 
-    rows: list[list[int]] = []
-    for k in range(m):
-        ln = 4 + n + k
-        entries = [e for e in _tokens_of_line(lines, ln, "row entries") if e != 0]
-        if len(entries) != row_degs[k]:
-            raise AlistParseError(
-                f"line {ln + 1}: row {k + 1} lists {len(entries)} variables, "
-                f"degree says {row_degs[k]}"
-            )
-        if any(e < 1 or e > n for e in entries):
-            raise AlistParseError(f"line {ln + 1}: variable index out of range")
-        rows.append(sorted(e - 1 for e in entries))
-
-    # The two sections must describe the same matrix.
-    from_cols: list[set[int]] = [set() for _ in range(m)]
-    for i, checks in enumerate(cols):
-        for j in checks:
-            from_cols[j].add(i)
-    for j in range(m):
-        listed = set(rows[j])
-        if from_cols[j] != listed:
-            raise AlistParseError(
-                f"line {4 + n + j + 1}: row {j + 1} disagrees with the column section"
-            )
-        if len(listed) != len(rows[j]):
-            raise AlistParseError(f"line {4 + n + j + 1}: row {j + 1} lists a variable twice")
-    # The rows name each edge once, so the columns do too exactly when
-    # their entry count is the rows' entry count.
-    if sum(col_degs) != sum(row_degs):
-        k = next(k for k, checks in enumerate(cols) if len(set(checks)) != len(checks))
+    # The two sections must describe the same matrix.  Key each edge by
+    # (row, variable), as listed by the rows and by the columns.
+    by_row = np.sort(np.repeat(np.arange(m), row_degs) * n + variables)
+    by_col = np.sort(checks * n + np.repeat(np.arange(n), col_degs))
+    fault = _first_fault(
+        (np.setxor1d(by_row, by_col) // n, "disagrees with the column section"),
+        (by_row[1:][np.diff(by_row) == 0] // n, "lists a variable twice"),
+    )
+    if fault:
+        j, what = fault
+        raise AlistParseError(f"line {4 + n + j + 1}: row {j + 1} {what}")
+    # The rows name each edge once, so a key the columns repeat is a
+    # column that lists a check twice.
+    twice = by_col[1:][np.diff(by_col) == 0] % n
+    if twice.size:
+        k = int(twice.min())
         raise AlistParseError(f"line {4 + k + 1}: column {k + 1} lists a check twice")
 
-    return ParityCheckMatrix(n, [np.asarray(rw, dtype=np.int64) for rw in rows])
+    return ParityCheckMatrix(n, _slices(variables, row_degs))
+
+
+def _section(
+    lines: list[str], first: int, degs: list[int], bound: int, kind: str, item: str
+) -> NDArray[np.int64]:
+    """The 0-based entries of the ``len(degs)`` alist lines from ``first``
+    on, concatenated, after checking each line's count and range."""
+    flat: list[int] = []
+    for k, deg in enumerate(degs):
+        ln = first + k
+        entries = [e for e in _tokens_of_line(lines, ln, f"{kind} entries") if e != 0]
+        if len(entries) != deg:
+            raise AlistParseError(
+                f"line {ln + 1}: {kind} {k + 1} lists {len(entries)} {item}s, degree says {deg}"
+            )
+        if any(e < 1 or e > bound for e in entries):
+            raise AlistParseError(f"line {ln + 1}: {item} index out of range")
+        flat += entries
+    return np.array(flat, dtype=np.int64) - 1
 
 
 def emit_alist(code: ParityCheckMatrix) -> str:
     """Serialize to canonical alist text: unpadded, single-spaced, 1-based."""
-    cols = [nb + 1 for nb in code.var_neighborhoods]
-    rows = [nb + 1 for nb in code.check_neighborhoods]
     out = [
         f"{code.n_vars} {code.n_checks}",
         f"{int(code.var_degrees.max())} {int(code.check_degrees.max())}",
-        " ".join(str(int(d)) for d in code.var_degrees),
-        " ".join(str(int(d)) for d in code.check_degrees),
+        " ".join(map(str, code.var_degrees.tolist())),
+        " ".join(map(str, code.check_degrees.tolist())),
     ]
-    out += [" ".join(str(int(v)) for v in c) for c in cols]
-    out += [" ".join(str(int(v)) for v in r) for r in rows]
+    for flat, sizes in ((code._var_checks, code.var_degrees), (code.edge_var, code.check_degrees)):
+        out += [" ".join(w) for w in _slices(list(map(str, (flat + 1).tolist())), sizes)]
     return "\n".join(out) + "\n"
 
 

@@ -247,8 +247,12 @@ def run_point(
 ) -> TrialStats:
     """Monte-Carlo decode trials at one channel point.
 
-    Transmits the all-zero codeword (valid under channel symmetry) or an
-    explicitly supplied codeword.  Either a fixed trial count or a
+    Transmits the all-zero codeword or an explicitly supplied codeword,
+    and counts a word error when the hard decision is not the sent word.
+    Under channel symmetry, whether LP decoding ends integral on the sent
+    word does not depend on the word; this count does, since a fractional
+    output that rounds to the all-zero word scores as a success.  So for
+    the all-zero word it is optimistic.  Either a fixed trial count or a
     stop-at-target-errors budget must be given; the latter is capped at
     ``max_trials``.  Results depend only on (seed, point_index, trial
     index), never on the worker count.

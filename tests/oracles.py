@@ -3,8 +3,9 @@
 Everything here is brute force, a scalar loop, or delegates to a generic
 solver: vertex enumeration, a hull-projection QP with an optimality
 certificate, the incremental breakpoint march, GF(2) codebook
-enumeration, exhaustive marginalization, and the decoding LP solved over
-the explicit facet description.  None of it shares code paths with the
+enumeration, exhaustive marginalization, the decoding LP solved over
+the explicit facet description, and the per-check loop that builds a
+code's neighborhoods.  None of it shares code paths with the
 package under test.
 """
 
@@ -153,6 +154,42 @@ def maximize_linear_scalar(c: np.ndarray) -> np.ndarray:
             return np.array(z, dtype=np.int8)
     z[i_p] = 0
     return np.array(z, dtype=np.int8)
+
+
+def neighborhoods_by_loop(
+    n_vars: int, check_neighborhoods: list
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Check and variable neighborhoods of a code, one check and one edge
+    at a time, as read-only int64 arrays; raises ``ValueError`` with
+    ``ParityCheckMatrix``'s message for the first check at fault."""
+    if n_vars <= 0:
+        raise ValueError("n_vars must be positive")
+    if len(check_neighborhoods) == 0:
+        raise ValueError("need at least one check")
+    checks = []
+    for j, nbhd in enumerate(check_neighborhoods):
+        arr = np.asarray(nbhd)
+        if arr.ndim == 1 and arr.size == 0:
+            raise ValueError(f"check {j} has no variables")
+        if arr.ndim != 1 or arr.dtype.kind not in "iu":
+            raise ValueError(f"check {j} must be a 1-D array of integer variable indices")
+        arr = np.sort(arr.astype(np.int64))
+        if arr[0] < 0 or arr[-1] >= n_vars:
+            raise ValueError(f"check {j} has a variable index out of range")
+        if np.any(np.diff(arr) == 0):
+            raise ValueError(f"check {j} has a parallel edge")
+        arr.flags.writeable = False
+        checks.append(arr)
+    var_lists: list[list[int]] = [[] for _ in range(n_vars)]
+    for j, arr in enumerate(checks):
+        for i in arr:
+            var_lists[int(i)].append(j)
+    vars_ = []
+    for lst in var_lists:
+        a = np.asarray(lst, dtype=np.int64)
+        a.flags.writeable = False
+        vars_.append(a)
+    return tuple(checks), tuple(vars_)
 
 
 def gf2_nullspace(h: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from polylp import (
     is_codeword,
     parse_alist,
 )
-from oracles import codebook, interleaved_code
+from oracles import codebook, interleaved_code, neighborhoods_by_loop
 
 # H = [[1,1,0],[0,1,1]]: column degrees 1 2 1, row degrees 2 2.
 FIXTURE_ALIST = """\
@@ -93,6 +95,41 @@ def test_parse_alist_fuzz_on_raw_text(text):
     parses_or_raises_parse_error(text)
 
 
+INT_FORMS = {
+    "list": lambda idx: idx,
+    "tuple": tuple,
+    "int64": lambda idx: np.array(idx, dtype=np.int64),
+    "int32": lambda idx: np.array(idx, dtype=np.int32),
+    "uint16": lambda idx: np.array(idx).astype(np.uint16),
+}
+OTHER_FORMS = {
+    "float": lambda idx: np.array(idx, dtype=float),
+    "bool": lambda idx: [i > 0 for i in idx],
+    "2-D": lambda idx: np.array(idx, dtype=np.int64)[None, :],
+}
+
+
+@st.composite
+def neighborhood_lists(draw):
+    """A variable count and a list of check neighborhoods, each a list, a
+    tuple or an integer array, in any order.  Half the lists are valid;
+    in the others a check may be empty, negative, out of range, repeat a
+    variable, hold floats or bools, or be 2-D."""
+    n_vars = draw(st.sampled_from([0] + 4 * list(range(1, 8))))
+    valid = st.lists(st.integers(0, max(n_vars - 1, 0)), min_size=1, max_size=5, unique=True)
+    faulty = st.one_of(
+        st.lists(st.integers(-2, 8), max_size=5),
+        valid.map(lambda idx: idx + idx[-1:]),
+    )
+    forms = INT_FORMS if draw(st.booleans()) else {**INT_FORMS, **OTHER_FORMS}
+    indices = valid if draw(st.booleans()) else st.one_of(valid, faulty)
+    nbhds = [
+        forms[draw(st.sampled_from(sorted(forms)))](draw(indices))
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+    return n_vars, nbhds
+
+
 class TestParseAlist:
     def test_parallel_edge_is_parse_error(self):
         # Found by the fuzz above: row 1 and column 1 both list their one
@@ -166,6 +203,63 @@ class TestParityCheckMatrix:
     def test_rejects_empty_check(self):
         with pytest.raises(ValueError, match="no variables"):
             ParityCheckMatrix(3, [np.array([], dtype=int)])
+
+    @pytest.mark.parametrize(
+        "nbhd",
+        [[0.7, 1.2], [0.0, 1.9], [True, False], ["0", "1"], [[0, 1], [1, 2]]],
+        ids=["0.7", "1.9", "bool", "str", "2-D"],
+    )
+    def test_rejects_a_check_that_is_not_a_1d_integer_array(self, nbhd):
+        # Each of these used to build a check from a cast of its entries,
+        # or, for the 2-D one, fail inside numpy.
+        message = "check 1 must be a 1-D array of integer variable indices"
+        with pytest.raises(ValueError, match=message):
+            ParityCheckMatrix(3, [[1, 2], nbhd])
+
+    @pytest.mark.parametrize("h", [[[1, 2, 0], [0, 1, 1]], [[1, 0.5, 1]]])
+    def test_from_dense_rejects_entries_other_than_0_and_1(self, h):
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            ParityCheckMatrix.from_dense(h)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=600)
+    @given(neighborhood_lists())
+    def test_constructor_equals_the_per_check_loop(self, case):
+        n_vars, nbhds = case
+        try:
+            want = neighborhoods_by_loop(n_vars, nbhds)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                ParityCheckMatrix(n_vars, nbhds)
+            assert str(got.value) == str(exc)
+            return
+        code = ParityCheckMatrix(n_vars, nbhds)
+        for got, ref in zip((code.check_neighborhoods, code.var_neighborhoods), want):
+            assert len(got) == len(ref)
+            for a, b in zip(got, ref):
+                assert a.dtype == b.dtype == np.int64
+                assert not a.flags.writeable
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "code",
+        [gen_regular_ldpc(48, 3, 6, seed=3), interleaved_code(20, 12, seed=1)],
+        ids=["regular", "interleaved"],
+    )
+    def test_pickle_round_trip_decodes_the_same(self, code):
+        again = pickle.loads(pickle.dumps(code))
+        assert again == code and again is not code
+        gammas = np.random.default_rng(5).normal(1.5, 1.5, size=(3, code.n_vars))
+        for decoder in (decode, decode_bp, decode_dual_ascent):
+            for gamma in gammas:
+                a, b = decoder(gamma, code), decoder(gamma, again)
+                assert np.array_equal(a.x, b.x)
+                assert (a.iterations, a.status) == (b.iterations, b.status)
+                assert np.array_equal(a.hard_decision, b.hard_decision)
+
+    def test_unpickling_validates(self):
+        blank = ParityCheckMatrix.__new__(ParityCheckMatrix)
+        with pytest.raises(ValueError, match="check 0 has a parallel edge"):
+            blank.__setstate__((3, np.array([1, 1, 0, 2]), np.array([0, 2, 4])))
 
     def test_dense_round_trip(self):
         h = np.array([[1, 1, 0], [0, 1, 1]])

@@ -21,7 +21,7 @@ from polylp import (
 )
 from polylp.admm_decoder import AdmmConfig, decode
 from polylp.bp_decoder import BpConfig
-from oracles import gf2_nullspace, hamming_7_4
+from oracles import codebook, gf2_nullspace, hamming_7_4, interleaved_code
 
 ADMM = DecoderRef("admm")
 # Erroneous decodes run to the iteration cap; a small cap keeps the
@@ -138,6 +138,31 @@ class TestRunPoint:
             received = transmit(np.zeros(32, dtype=np.uint8), channel, rng)
             total += decode(llr(received, channel), code).iterations
         assert stats.iter_sum_correct + stats.iter_sum_erroneous == total
+
+
+def test_strict_success_is_the_same_for_any_sent_codeword():
+    # run_point sends the all-zero word by default.  Through the same BSC
+    # flips, the LP decoder ends on the sent word, integral, for the
+    # all-zero word exactly when it does for any other codeword (the LP's
+    # codeword symmetry).  Scoring by the hard decision alone is not
+    # symmetric: a fractional output that rounds to the all-zero word
+    # counts as a success, so the all-zero word gives fewer word errors.
+    channel = Bsc(0.06)
+    pick = np.random.default_rng(3)
+    rounded_only = 0
+    for code in (gen_regular_ldpc(30, 3, 6, seed=1), interleaved_code(20, 12, seed=1)):
+        words = codebook(code.to_dense())
+        zero = np.zeros(code.n_vars, dtype=np.uint8)
+        for t in range(100):
+            strict = []
+            for sent in (zero, words[pick.integers(len(words))]):
+                gamma = llr(transmit(sent, channel, seed=t), channel)
+                out = decode(gamma, code, ADMM_FAST.config)
+                right = np.array_equal(out.hard_decision, sent)
+                strict.append(out.integral and right)
+                rounded_only += right and not out.integral and not sent.any()
+            assert strict[0] == strict[1], f"frame {t}"
+    assert rounded_only > 0
 
 
 class TestMlAccount:
