@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .admm_decoder import DecodeOutput, STATUS_CONVERGED, STATUS_MAX_ITERS
+from .admm_decoder import INTEGRALITY_TOL, DecodeOutput, STATUS_CONVERGED, STATUS_MAX_ITERS
 from .codes import ParityCheckMatrix, check_llrs, is_codeword
 
 _ATANH_GUARD = 1.0 - 1e-15
@@ -48,7 +48,7 @@ def _check_node_update(
     v2c: NDArray[np.float64], code: ParityCheckMatrix, clip: float
 ) -> NDArray[np.float64]:
     # tanh rule over the leave-one-out products of each check.
-    half = np.tanh(np.clip(0.5 * v2c, -0.5 * clip, 0.5 * clip))
+    half = np.tanh(0.5 * v2c)
     prod = code.map_checks(_leave_one_out_products, half)
     prod = np.clip(prod, -_ATANH_GUARD, _ATANH_GUARD)
     return np.clip(2.0 * np.arctanh(prod), -clip, clip)
@@ -69,13 +69,14 @@ def posterior_llrs(
     ev = code.edge_var
     clip = config.llr_clip
     c2v = np.zeros(code.n_edges)
-    beliefs = gamma.copy()
+    # Each iteration's variable totals are the last beliefs; the first
+    # ones add zero messages, so -0.0 LLRs come in as 0.0.
+    beliefs = gamma + 0.0
     iterations = 0
     found = False
     for t in range(1, config.t_max + 1):
         iterations = t
-        totals = gamma + np.bincount(ev, weights=c2v, minlength=code.n_vars)
-        v2c = np.clip(totals[ev] - c2v, -clip, clip)
+        v2c = np.clip(beliefs[ev] - c2v, -clip, clip)
         c2v = _check_node_update(v2c, code, clip)
         beliefs = gamma + np.bincount(ev, weights=c2v, minlength=code.n_vars)
         hard = (beliefs < 0.0).astype(np.uint8)
@@ -99,7 +100,7 @@ def decode_bp(
     # Stable sigmoid of -belief: probability that the bit is 1.
     p_one = 0.5 * (1.0 - np.tanh(0.5 * beliefs))
     hard = (beliefs < 0.0).astype(np.uint8)
-    integral = bool(np.all(np.minimum(p_one, 1.0 - p_one) <= 1e-5))
+    integral = bool(np.all(np.minimum(p_one, 1.0 - p_one) <= INTEGRALITY_TOL))
     return DecodeOutput(
         x=p_one,
         status=STATUS_CONVERGED if found else STATUS_MAX_ITERS,

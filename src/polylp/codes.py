@@ -38,13 +38,12 @@ class ParityCheckMatrix:
     def __init__(self, n_vars: int, check_neighborhoods: list[ArrayLike]):
         if n_vars <= 0:
             raise ValueError("n_vars must be positive")
-        nbhds = [np.asarray(nb) for nb in check_neighborhoods]
+        nbhds = [_index_array(nb) for nb in check_neighborhoods]
         if not nbhds:
             raise ValueError("need at least one check")
         # The checks before the first one that is not a 1-D integer array
         # are validated together; a fault among them comes first.
-        well_formed = [a.ndim == 1 and (a.size == 0 or a.dtype.kind in "iu") for a in nbhds]
-        m = (well_formed + [False]).index(False)
+        m = next((j for j, a in enumerate(nbhds) if a is None), len(nbhds))
         sizes = np.array([a.size for a in nbhds[:m]], dtype=np.int64)
         flat = np.concatenate(nbhds[:m] or [[]], dtype=np.int64, casting="unsafe")
         check_of = np.repeat(np.arange(m), sizes)
@@ -136,26 +135,6 @@ class ParityCheckMatrix:
             groups[int(d)] = rows
         return groups
 
-    @cached_property
-    def degree_blocks(self) -> dict[int, slice | NDArray[np.int64]]:
-        """Edge selector of each degree group: ``v[sel].reshape(-1, d)``
-        gives the group's (m_d, d) rows of an edge-flat vector ``v``.
-
-        A group whose edges are contiguous (every group of a code whose
-        checks of one degree are adjacent, e.g. a regular code) gets a
-        ``slice``, so reading and writing it moves no indices; any other
-        group gets its flat edge indices.
-        """
-        blocks: dict[int, slice | NDArray[np.int64]] = {}
-        for d, rows in self.checks_by_degree.items():
-            flat = rows.reshape(-1)
-            start = int(flat[0])
-            if int(flat[-1]) - start + 1 == flat.size:
-                blocks[d] = slice(start, start + flat.size)
-            else:
-                blocks[d] = flat
-        return blocks
-
     def map_checks(
         self,
         fn: Callable[[NDArray[np.float64]], NDArray],
@@ -171,13 +150,13 @@ class ParityCheckMatrix:
         """
         if v.shape != self.edge_var.shape:
             raise ValueError(f"expected an edge-flat vector of length {self.edge_var.size}")
-        blocks = self.degree_blocks
-        if len(blocks) == 1:
-            (d,) = blocks
+        groups = self.checks_by_degree
+        if len(groups) == 1:
+            (d,) = groups
             return fn(v.reshape(-1, d)).reshape(-1).astype(v.dtype, copy=False)
         out = np.empty_like(v)
-        for d, sel in blocks.items():
-            out[sel] = fn(v[sel].reshape(-1, d)).reshape(-1)
+        for rows in groups.values():
+            out[rows] = fn(v[rows])
         return out
 
     @cached_property
@@ -215,6 +194,15 @@ class ParityCheckMatrix:
     def __setstate__(self, state: tuple) -> None:
         n_vars, edge_var, check_ptr = state
         self.__init__(n_vars, _slices(edge_var, np.diff(check_ptr)))
+
+
+def _index_array(nb: ArrayLike) -> NDArray | None:
+    """``nb`` as a 1-D integer array, or None when it is not one."""
+    try:
+        a = np.asarray(nb)
+    except ValueError:  # ragged, e.g. [[0, 1], [2]]
+        return None
+    return a if a.ndim == 1 and (a.size == 0 or a.dtype.kind in "iu") else None
 
 
 def _first_fault(*faults: tuple[NDArray[np.int64], str]) -> tuple[int, str] | None:

@@ -12,9 +12,11 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -158,7 +160,7 @@ _TrialRecord = tuple[bool, int, int, float, bool]
 def _run_trial(
     code: ParityCheckMatrix,
     channel: ChannelModel,
-    decode_fn: Callable[[NDArray[np.float64]], DecodeOutput],
+    decoder: DecoderRef,
     transmitted: NDArray[np.uint8],
     seed: int,
     point_index: int,
@@ -169,6 +171,7 @@ def _run_trial(
     )
     received = transmit(transmitted, channel, rng)
     gamma = llr(received, channel)
+    decode_fn = decoder.bind(code)
     t0 = time.perf_counter()
     out = decode_fn(gamma)
     elapsed = time.perf_counter() - t0
@@ -178,15 +181,6 @@ def _run_trial(
     if word_error:
         ml_error = ml_account(out, gamma, code, transmitted) is MlOutcome.CERTIFIED_ERROR
     return word_error, bit_errors, out.iterations, elapsed, ml_error
-
-
-def _run_chunk(payload: tuple) -> list[_TrialRecord]:
-    code, channel, decoder, transmitted, seed, point_index, trial_indices = payload
-    decode_fn = decoder.bind(code)
-    return [
-        _run_trial(code, channel, decode_fn, transmitted, seed, point_index, t)
-        for t in trial_indices
-    ]
 
 
 def _wave(
@@ -200,20 +194,11 @@ def _wave(
     workers: int,
     pool: ProcessPoolExecutor | None,
 ) -> list[_TrialRecord]:
+    run = partial(_run_trial, code, channel, decoder, transmitted, seed, point_index)
     if pool is None or len(trial_indices) < 2 * workers:
-        return _run_chunk(
-            (code, channel, decoder, transmitted, seed, point_index, trial_indices)
-        )
-    chunks = np.array_split(np.asarray(trial_indices), workers * 4)
-    payloads = [
-        (code, channel, decoder, transmitted, seed, point_index, chunk.tolist())
-        for chunk in chunks
-        if chunk.size
-    ]
-    records: list[_TrialRecord] = []
-    for part in pool.map(_run_chunk, payloads):
-        records.extend(part)
-    return records
+        return list(map(run, trial_indices))
+    chunksize = math.ceil(len(trial_indices) / (4 * workers))
+    return list(pool.map(run, trial_indices, chunksize=chunksize))
 
 
 def _check_budget(

@@ -4,9 +4,9 @@ Everything here is brute force, a scalar loop, or delegates to a generic
 solver: vertex enumeration, a hull-projection QP with an optimality
 certificate, the incremental breakpoint march, GF(2) codebook
 enumeration, exhaustive marginalization, the decoding LP solved over
-the explicit facet description, and the per-check loop that builds a
-code's neighborhoods.  None of it shares code paths with the
-package under test.
+the explicit facet description, per-check loopy belief propagation, and
+the per-check loop that builds a code's neighborhoods.  None of it
+shares code paths with the package under test.
 """
 
 from __future__ import annotations
@@ -252,6 +252,41 @@ def exact_marginals(gamma: np.ndarray, code: ParityCheckMatrix) -> np.ndarray:
     p0 = np.array([w[xs[:, i] == 0].sum() for i in range(n)])
     p1 = np.array([w[xs[:, i] == 1].sum() for i in range(n)])
     return np.log(p0 / p1)
+
+
+def loopy_bp_by_check(
+    gamma: np.ndarray, code: ParityCheckMatrix, iterations: int, clip: float
+) -> np.ndarray:
+    """Posterior LLRs after ``iterations`` flooding sum-product rounds,
+    one check and one edge at a time.
+
+    Every round recomputes each variable's total from the channel and
+    the last check messages, saturates the variable-to-check message at
+    ``clip`` and its half at ``clip / 2`` before the tanh, and saturates
+    the check-to-variable message at ``clip``.
+    """
+    guard = 1.0 - 1e-15
+    nbhds = code.check_neighborhoods
+    c2v = [np.zeros(len(nb)) for nb in nbhds]
+    for _ in range(iterations):
+        totals = np.array(gamma, dtype=float)
+        for nb, msg in zip(nbhds, c2v):
+            totals[nb] += msg
+        new = []
+        for nb, msg in zip(nbhds, c2v):
+            v2c = [min(max(totals[i] - m, -clip), clip) for i, m in zip(nb, msg)]
+            half = [math.tanh(min(max(0.5 * v, -0.5 * clip), 0.5 * clip)) for v in v2c]
+            out = []
+            for k in range(len(nb)):
+                prod = math.prod(half[:k] + half[k + 1:])
+                prod = min(max(prod, -guard), guard)
+                out.append(min(max(2.0 * math.atanh(prod), -clip), clip))
+            new.append(np.array(out))
+        c2v = new
+    beliefs = np.array(gamma, dtype=float)
+    for nb, msg in zip(nbhds, c2v):
+        beliefs[nb] += msg
+    return beliefs
 
 
 def fundamental_lp(gamma: np.ndarray, code: ParityCheckMatrix) -> tuple[float, np.ndarray]:

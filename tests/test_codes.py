@@ -216,6 +216,17 @@ class TestParityCheckMatrix:
         with pytest.raises(ValueError, match=message):
             ParityCheckMatrix(3, [[1, 2], nbhd])
 
+    def test_rejects_a_ragged_check_in_first_fault_order(self):
+        # numpy cannot build an array from it; that used to raise numpy's
+        # "inhomogeneous shape" error, which names no check.
+        message = "check 1 must be a 1-D array of integer variable indices"
+        with pytest.raises(ValueError, match=message):
+            ParityCheckMatrix(3, [[0, 1], [[0, 1], [2]]])
+        with pytest.raises(ValueError, match="check 0 has a parallel edge"):
+            ParityCheckMatrix(3, [[0, 0], [[0, 1], [2]]])
+        with pytest.raises(ValueError, match=message):
+            ParityCheckMatrix(3, [[0, 1], [[0, 1], [2]], [0, 0]])
+
     @pytest.mark.parametrize("h", [[[1, 2, 0], [0, 1, 1]], [[1, 0.5, 1]]])
     def test_from_dense_rejects_entries_other_than_0_and_1(self, h):
         with pytest.raises(ValueError, match="entries must be 0 or 1"):
@@ -273,34 +284,33 @@ class TestParityCheckMatrix:
         assert code.checks_by_degree[2].shape == (2, 2)
 
 
-    def test_degree_blocks_select_each_group(self):
-        # Contiguous groups get a slice, interleaved ones edge indices;
-        # either way v[sel].reshape(-1, d) is the group's (m_d, d) rows.
-        regular = gen_regular_ldpc(30, 3, 6, seed=2)
-        mixed = interleaved_code(20, 12, seed=1)
-        assert [type(s) for s in regular.degree_blocks.values()] == [slice]
-        assert all(isinstance(s, np.ndarray) for s in mixed.degree_blocks.values())
-        for code in (regular, mixed):
-            assert list(code.degree_blocks) == list(code.checks_by_degree)
+    def test_checks_by_degree_select_each_group(self):
+        # v[rows] is the group's (m_d, d) rows, one check per row in check
+        # order, and check_columns lists the same variables column-wise.
+        for code in (gen_regular_ldpc(30, 3, 6, seed=2), interleaved_code(20, 12, seed=1)):
             v = np.arange(code.n_edges, dtype=float)
-            for (d, sel), cols in zip(code.degree_blocks.items(), code.check_columns):
-                rows = code.checks_by_degree[d]
-                assert np.array_equal(v[sel].reshape(-1, d), v[rows])
+            for (d, rows), cols in zip(code.checks_by_degree.items(), code.check_columns):
+                js = np.flatnonzero(code.check_degrees == d)
+                assert np.array_equal(v[rows], [v[code.check_slice(j)] for j in js])
                 assert np.array_equal(cols, code.edge_var[rows].T)
-
-    def test_single_check_of_a_degree_is_a_slice(self):
-        code = ParityCheckMatrix.from_dense([[1, 1, 0, 0], [0, 1, 1, 1], [1, 0, 1, 0]])
-        assert isinstance(code.degree_blocks[3], slice)
-        assert isinstance(code.degree_blocks[2], np.ndarray)
 
     @pytest.mark.parametrize(
         "code",
-        [gen_regular_ldpc(30, 3, 6, seed=2), interleaved_code(20, 12, seed=1)],
-        ids=["regular", "interleaved"],
+        [
+            gen_regular_ldpc(30, 3, 6, seed=2),
+            interleaved_code(20, 12, seed=1),
+            # Two degrees, each one's checks adjacent.
+            ParityCheckMatrix(
+                20,
+                sorted(interleaved_code(20, 12, seed=1, degrees=(3, 5)).check_neighborhoods, key=len),
+            ),
+        ],
+        ids=["regular", "interleaved", "degree-sorted"],
     )
     def test_map_checks_equals_per_check_loop(self, code):
-        # One slice for the regular code, edge indices for the interleaved
-        # one; either way each check's row comes back in its own edges.
+        # One (m, d) view for the regular code, edge-index rows for the
+        # others (whether or not a degree's checks are adjacent); either
+        # way each check's row comes back in its own edges.
         v = np.random.default_rng(3).normal(size=code.n_edges)
         keep = v.copy()
         got = code.map_checks(lambda t: np.cumsum(t, axis=1), v)

@@ -102,9 +102,9 @@ def per_check_dual_ascent(gamma, code, config):
     ids=["regular", "interleaved"],
 )
 def test_degree_blocks_match_per_check_loop(code):
-    # The batched replica step reads each degree group through its
-    # selector (a slice, or edge indices for the interleaved code) and
-    # must reproduce the per-check loop exactly, iteration counts included.
+    # The batched replica step reads each degree group as one block (an
+    # (m, d) view, or edge-index rows for the interleaved code) and must
+    # reproduce the per-check loop exactly, iteration counts included.
     rng = np.random.default_rng(21)
     cfg = DualAscentConfig(t_max=150)
     statuses = set()
