@@ -47,8 +47,14 @@ class Awgn:
     def __post_init__(self) -> None:
         if not (0.0 < self.rate <= 1.0):
             raise ValueError("code rate must be in (0, 1]")
-        if not math.isfinite(self.snr_db):
-            raise ValueError("snr_db must be finite")
+        # The LLR scale 2 / variance is a finite positive float exactly when
+        # the variance is one too; far from 0 dB, or at inf or nan, it is not.
+        try:
+            scale = 2.0 / self.noise_variance
+        except (OverflowError, ZeroDivisionError):
+            scale = math.nan
+        if not 0.0 < scale < math.inf:
+            raise ValueError(f"snr_db = {self.snr_db} dB is out of the float range")
 
     kind = "awgn"
 
@@ -101,8 +107,6 @@ def llr(received: ArrayLike, ch: ChannelModel) -> NDArray[np.float64]:
     if y.ndim != 1:
         raise ValueError("received vector must be 1-D")
     if isinstance(ch, Bsc):
-        if not (0.0 < ch.p < 1.0):
-            raise ValueError("BSC crossover probability must be in (0, 1)")
         if not ((y == 0) | (y == 1)).all():
             raise ValueError("BSC received symbols must be 0 or 1")
         base = math.log((1.0 - ch.p) / ch.p)

@@ -15,9 +15,10 @@ import io
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -193,12 +194,12 @@ def _wave(
     trial_indices: Sequence[int],
     workers: int,
     pool: ProcessPoolExecutor | None,
-) -> list[_TrialRecord]:
+) -> Iterator[_TrialRecord]:
     run = partial(_run_trial, code, channel, decoder, transmitted, seed, point_index)
     if pool is None or len(trial_indices) < 2 * workers:
-        return list(map(run, trial_indices))
+        return map(run, trial_indices)
     chunksize = math.ceil(len(trial_indices) / (4 * workers))
-    return list(pool.map(run, trial_indices, chunksize=chunksize))
+    return pool.map(run, trial_indices, chunksize=chunksize)
 
 
 def _check_budget(
@@ -252,29 +253,6 @@ def run_point(
     else:
         limit, wave_size, target = max_trials, 256, target_errors
 
-    own_pool = False
-    if workers > 1 and pool is None:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        own_pool = True
-    records: list[_TrialRecord] = []
-    errors = 0
-    try:
-        while errors < target and len(records) < limit:
-            lo = len(records)
-            batch = _wave(
-                code, channel, decoder, sent, seed, point_index,
-                range(lo, min(lo + wave_size, limit)), workers, pool,
-            )
-            records.extend(batch)
-            errors += sum(1 for rec in batch if rec[0])
-    finally:
-        if own_pool and pool is not None:
-            pool.shutdown()
-    if errors >= target:
-        # Truncate exactly at the trial that met the target.
-        hits = [k for k, rec in enumerate(records) if rec[0]]
-        records = records[: hits[target - 1] + 1]
-
     stats = TrialStats(
         decoder_id=decoder.algo,
         channel_kind=channel.kind,
@@ -283,17 +261,28 @@ def run_point(
         n_vars=code.n_vars,
         rate=code.design_rate,
     )
-    for word_error, bit_errors, iters, elapsed, ml_error in records:
-        stats.trials += 1
-        if word_error:
-            stats.word_errors += 1
-            stats.bit_errors += bit_errors
-            stats.iter_sum_erroneous += iters
-            stats.time_sum_erroneous += elapsed
-            stats.ml_errors += int(ml_error)
-        else:
-            stats.iter_sum_correct += iters
-            stats.time_sum_correct += elapsed
+    owned = workers > 1 and pool is None
+    with ProcessPoolExecutor(workers) if owned else nullcontext(pool) as pool:
+        while stats.word_errors < target and stats.trials < limit:
+            # Serially no frame past the target is decoded.  In the pool,
+            # breaking out drops the map's generator, which cancels the
+            # wave's unstarted chunks.
+            for word_error, bit_errors, iters, elapsed, ml_error in _wave(
+                code, channel, decoder, sent, seed, point_index,
+                range(stats.trials, min(stats.trials + wave_size, limit)), workers, pool,
+            ):
+                stats.trials += 1
+                if word_error:
+                    stats.word_errors += 1
+                    stats.bit_errors += bit_errors
+                    stats.iter_sum_erroneous += iters
+                    stats.time_sum_erroneous += elapsed
+                    stats.ml_errors += int(ml_error)
+                    if stats.word_errors == target:
+                        break
+                else:
+                    stats.iter_sum_correct += iters
+                    stats.time_sum_correct += elapsed
     return stats
 
 
@@ -310,8 +299,7 @@ def sweep(
 ) -> list[TrialStats]:
     """Run one :func:`run_point` per channel point, sharing the worker pool."""
     _check_budget(n_trials, target_errors, max_trials, workers)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         return [
             run_point(
                 code,
@@ -327,9 +315,6 @@ def sweep(
             )
             for k, point in enumerate(channel_points)
         ]
-    finally:
-        if pool is not None:
-            pool.shutdown()
 
 
 def _fmt(value: float) -> str:

@@ -24,6 +24,11 @@ class TestChannelModels:
             Awgn(2.0, 0.0)
         with pytest.raises(ValueError):
             Awgn(float("inf"), 0.5)
+        # Past these the noise variance or the LLR scale 2 / variance
+        # overflows, underflows or divides by zero.
+        for snr_db in (3083.0, 3080.0, -3100.0, -3240.0):
+            with pytest.raises(ValueError, match="snr_db"):
+                Awgn(snr_db, 0.5)
 
     def test_awgn_noise_variance(self):
         # sigma^2 = 1 / (2 R 10^(snr/10))

@@ -197,6 +197,12 @@ class TestSimulate:
         assert len(lines) == 3
         assert lines[0].startswith("decoder,channel_kind")
 
+    def test_snr_out_of_float_range_is_usage_error(self, code_file):
+        res = run_cli("simulate", "--code", str(code_file), "--channel", "awgn",
+                      "--points", "3100", "--trials", "4")
+        assert res.returncode == 1
+        assert "snr_db = 3100.0 dB" in res.stderr
+
     def test_needs_exactly_one_budget(self, code_file):
         res = run_cli("simulate", "--code", str(code_file), "--channel", "bsc",
                       "--points", "0.02", "--decoder", "admm")

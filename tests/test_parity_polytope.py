@@ -307,20 +307,24 @@ class TestOrderAndSymmetry:
 
 def test_single_projection_scales_linearithmically():
     # One sort plus linear passes: 16x the input should cost well under
-    # 20x the time.  Medians over repeats to dampen scheduler noise.
+    # 20x the time.  Medians over repeats to dampen scheduler noise, with
+    # the two sizes' samples interleaved, alternating which runs first, so
+    # load from other processes falls on both alike.
     import time
 
     rng = np.random.default_rng(10)
-    def timed(d, reps):
-        u = rng.uniform(-2, 3, d)
-        samples = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            project_parity_polytope(u)
-            samples.append(time.perf_counter() - t0)
-        return float(np.median(samples))
+    warm, small, big = (rng.uniform(-2, 3, d) for d in (4096, 256, 4096))
 
-    timed(4096, 3)  # warm up
-    t_small = timed(256, 200)
-    t_big = timed(4096, 200)
+    def timed(u):
+        t0 = time.perf_counter()
+        project_parity_polytope(u)
+        return time.perf_counter() - t0
+
+    for _ in range(3):  # warm up
+        timed(warm)
+    samples = {256: [], 4096: []}
+    for k in range(200):
+        for u in (small, big) if k % 2 == 0 else (big, small):
+            samples[u.size].append(timed(u))
+    t_small, t_big = (float(np.median(samples[d])) for d in (256, 4096))
     assert t_big <= 20.0 * t_small, (t_small, t_big)

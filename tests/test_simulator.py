@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from polylp import (
     sweep,
     transmit,
 )
+from polylp import simulator
 from polylp.admm_decoder import AdmmConfig, decode
 from polylp.bp_decoder import BpConfig
 from oracles import codebook, gf2_nullspace, hamming_7_4, interleaved_code
@@ -105,6 +107,35 @@ class TestRunPoint:
             code, Bsc(0.09), ADMM_FAST, target_errors=5, max_trials=stats.trials, seed=5
         )
         assert again.trials == stats.trials
+
+    def test_serial_target_errors_decodes_no_frame_past_the_target(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return decode(*args)
+
+        monkeypatch.setattr(simulator, "decode", counted)
+        code = gen_regular_ldpc(96, 3, 6, seed=7)
+        stats = run_point(code, Bsc(0.06), ADMM_FAST, target_errors=20, seed=2)
+        assert stats.word_errors == 20 and stats.trials < 256
+        assert len(calls) == stats.trials
+
+    def test_memory_does_not_grow_with_the_trial_count(self, monkeypatch):
+        # With a decoder that costs nothing, what the run keeps per trial
+        # would show in the peak: 2000 kept records take ~200 KB.
+        code = gen_regular_ldpc(24, 3, 6, seed=0)
+        out = decode(np.ones(code.n_vars), code)
+        monkeypatch.setattr(simulator, "decode", lambda *args: out)
+        run_point(code, Bsc(0.05), ADMM, n_trials=10, seed=0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_point(code, Bsc(0.05), ADMM, n_trials=2000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
 
     def test_max_trials_cap(self):
         code = gen_regular_ldpc(48, 3, 6, seed=0)
