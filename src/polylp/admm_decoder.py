@@ -36,12 +36,13 @@ class AdmmConfig:
     rho: float = 1.9
 
     def __post_init__(self) -> None:
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.t_max < 1:
-            raise ValueError("t_max must be at least 1")
+        # Written so that nan fails each test.
+        if not 0.0 < self.mu < np.inf:
+            raise ValueError("mu must be positive and finite")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
+        if not isinstance(self.t_max, (int, np.integer)) or self.t_max < 1:
+            raise ValueError("t_max must be at least 1 and an integer")
         if not (1.0 <= self.rho < 2.0):
             raise ValueError("rho must be in [1, 2)")
 

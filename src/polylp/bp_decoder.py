@@ -28,10 +28,10 @@ class BpConfig:
     early_stop: bool = True
 
     def __post_init__(self) -> None:
-        if self.t_max < 1:
-            raise ValueError("t_max must be at least 1")
-        if self.llr_clip <= 0:
-            raise ValueError("llr_clip must be positive")
+        if not isinstance(self.t_max, (int, np.integer)) or self.t_max < 1:
+            raise ValueError("t_max must be at least 1 and an integer")
+        if not 0.0 < self.llr_clip < np.inf:
+            raise ValueError("llr_clip must be positive and finite")
 
 
 def _leave_one_out_products(t: NDArray[np.float64]) -> NDArray[np.float64]:

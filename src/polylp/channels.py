@@ -70,12 +70,6 @@ class Awgn:
 ChannelModel = Union[Bsc, Awgn]
 
 
-def _as_rng(seed: int | np.random.Generator) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def transmit(
     x: ArrayLike, ch: ChannelModel, seed: int | np.random.Generator
 ) -> NDArray:
@@ -88,7 +82,8 @@ def transmit(
         raise ValueError("codeword must be a 1-D bit vector")
     if not ((bits == 0) | (bits == 1)).all():
         raise ValueError("codeword entries must be 0 or 1")
-    rng = _as_rng(seed)
+    # default_rng returns a Generator unaltered, so the caller's advances.
+    rng = np.random.default_rng(seed)
     if isinstance(ch, Bsc):
         flips = rng.random(bits.size) < ch.p
         return (bits.astype(np.uint8) ^ flips.astype(np.uint8)).astype(np.uint8)

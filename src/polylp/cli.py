@@ -67,12 +67,12 @@ def _default_workers() -> int:
 
 
 def _add_decoder_flags(p: argparse.ArgumentParser) -> None:
-    # Defaults come from the decoder configs; --epsilon and --tmax are
-    # shared, and every config defaults them alike.
+    # Defaults come from the decoder configs; --tmax is shared, and every
+    # config defaults it alike.
     p.add_argument("--mu", type=float, default=AdmmConfig.mu,
                    help="ADMM penalty parameter")
     p.add_argument("--epsilon", type=float, default=AdmmConfig.epsilon,
-                   help="stopping tolerance")
+                   help="ADMM stopping tolerance")
     p.add_argument("--tmax", dest="t_max", metavar="TMAX", type=int,
                    default=AdmmConfig.t_max, help="maximum iterations")
     p.add_argument("--rho", type=float, default=AdmmConfig.rho,
@@ -232,6 +232,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         params = [float(t) for t in args.points.split(",") if t.strip()]
     except ValueError as exc:
         raise UsageError(f"cannot parse --points: {exc}") from exc
+    if not params:
+        raise UsageError("--points needs at least one value")
     rate = args.rate if args.rate is not None else code.design_rate
     try:
         points: list[ChannelModel] = [

@@ -7,6 +7,7 @@ model sampler for random regular LDPC ensembles.
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 from typing import Callable
 
@@ -36,6 +37,7 @@ class ParityCheckMatrix:
     """
 
     def __init__(self, n_vars: int, check_neighborhoods: list[ArrayLike]):
+        n_vars = operator.index(n_vars)
         if n_vars <= 0:
             raise ValueError("n_vars must be positive")
         nbhds = [_index_array(nb) for nb in check_neighborhoods]

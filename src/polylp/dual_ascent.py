@@ -21,19 +21,16 @@ from .parity_polytope import maximize_linear_batch
 
 @dataclass(frozen=True)
 class DualAscentConfig:
-    """Constant dual step size, iteration cap, and residual tolerance."""
+    """Constant dual step size and iteration cap."""
 
     step: float = 0.1
     t_max: int = 1000
-    epsilon: float = 1e-5
 
     def __post_init__(self) -> None:
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        if self.t_max < 1:
-            raise ValueError("t_max must be at least 1")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.step < np.inf:
+            raise ValueError("step must be positive and finite")
+        if not isinstance(self.t_max, (int, np.integer)) or self.t_max < 1:
+            raise ValueError("t_max must be at least 1 and an integer")
 
 
 def decode_dual_ascent(
@@ -43,13 +40,13 @@ def decode_dual_ascent(
 ) -> DecodeOutput:
     """Decode by subgradient ascent on the dual of the decoding LP.
 
-    Stops when the squared consensus residual drops below ``epsilon^2``
-    times the total edge count, or at ``t_max``.
+    Stops at exact consensus, where every replica equals its variables'
+    0/1 values, or at ``t_max``.  Consensus puts every check's variables
+    on an even vertex, so a ``Converged`` output is a codeword.
     """
     gamma = check_llrs(code, gamma)
     ev = code.edge_var
     lam = np.zeros(code.n_edges)
-    threshold = config.epsilon**2 * code.n_edges
     x = np.zeros(code.n_vars)
     status = STATUS_MAX_ITERS
     iterations = 0
@@ -60,7 +57,7 @@ def decode_dual_ascent(
         x = ((-gamma - dual_load) > 0.0).astype(float)
         z = code.map_checks(maximize_linear_batch, lam)
         residual = x[ev] - z
-        if float((residual**2).sum()) < threshold:
+        if not residual.any():
             status = STATUS_CONVERGED
             break
         lam += config.step * residual

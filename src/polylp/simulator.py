@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -184,24 +184,6 @@ def _run_trial(
     return word_error, bit_errors, out.iterations, elapsed, ml_error
 
 
-def _wave(
-    code: ParityCheckMatrix,
-    channel: ChannelModel,
-    decoder: DecoderRef,
-    transmitted: NDArray[np.uint8],
-    seed: int,
-    point_index: int,
-    trial_indices: Sequence[int],
-    workers: int,
-    pool: ProcessPoolExecutor | None,
-) -> Iterator[_TrialRecord]:
-    run = partial(_run_trial, code, channel, decoder, transmitted, seed, point_index)
-    if pool is None or len(trial_indices) < 2 * workers:
-        return map(run, trial_indices)
-    chunksize = math.ceil(len(trial_indices) / (4 * workers))
-    return pool.map(run, trial_indices, chunksize=chunksize)
-
-
 def _check_budget(
     n_trials: int | None, target_errors: int | None, max_trials: int, workers: int
 ) -> None:
@@ -261,16 +243,19 @@ def run_point(
         n_vars=code.n_vars,
         rate=code.design_rate,
     )
+    run = partial(_run_trial, code, channel, decoder, sent, seed, point_index)
     owned = workers > 1 and pool is None
     with ProcessPoolExecutor(workers) if owned else nullcontext(pool) as pool:
         while stats.word_errors < target and stats.trials < limit:
+            wave = range(stats.trials, min(stats.trials + wave_size, limit))
             # Serially no frame past the target is decoded.  In the pool,
             # breaking out drops the map's generator, which cancels the
             # wave's unstarted chunks.
-            for word_error, bit_errors, iters, elapsed, ml_error in _wave(
-                code, channel, decoder, sent, seed, point_index,
-                range(stats.trials, min(stats.trials + wave_size, limit)), workers, pool,
-            ):
+            if pool is None or len(wave) < 2 * workers:
+                records = map(run, wave)
+            else:
+                records = pool.map(run, wave, chunksize=math.ceil(len(wave) / (4 * workers)))
+            for word_error, bit_errors, iters, elapsed, ml_error in records:
                 stats.trials += 1
                 if word_error:
                     stats.word_errors += 1

@@ -266,12 +266,12 @@ class TestDecodeProperties:
         assert np.abs(lam_next * cfg.mu - state.u * cfg.mu).max() <= 1e-9
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AdmmConfig(mu=0.0)
-        with pytest.raises(ValueError):
-            AdmmConfig(rho=2.0)
-        with pytest.raises(ValueError):
-            AdmmConfig(epsilon=-1.0)
+        # nan and inf fail too: nan used to pass every comparison.
+        for name, values in [("mu", [0.0, np.nan, np.inf]), ("rho", [2.0, np.nan]),
+                             ("epsilon", [-1.0, np.nan, np.inf]), ("t_max", [0, 2.5])]:
+            for value in values:
+                with pytest.raises(ValueError, match=name):
+                    AdmmConfig(**{name: value})
 
 
 class TestInterleavedDegrees:

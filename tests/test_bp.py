@@ -89,10 +89,10 @@ class TestBpDecoder:
         assert (out.hard_decision == (out.x > 0.5)).all()
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            BpConfig(t_max=0)
-        with pytest.raises(ValueError):
-            BpConfig(llr_clip=0.0)
+        for name, values in [("t_max", [0, 2.5]), ("llr_clip", [0.0, np.nan, np.inf])]:
+            for value in values:
+                with pytest.raises(ValueError, match=name):
+                    BpConfig(**{name: value})
 
     def test_dimension_mismatch(self):
         code = ParityCheckMatrix.from_dense([[1, 1, 1]])

@@ -44,6 +44,20 @@ class TestTransmit:
         assert np.array_equal(a, b)
         assert a.sum() > 0  # something flipped at p=0.1 over 1000 bits
 
+    def test_draws_from_a_given_generator(self):
+        # A Generator is used as it is, so each call advances it, and an
+        # int seed gives the words of a generator made from it.
+        x = np.zeros(64, dtype=np.uint8)
+        for ch in (Bsc(0.3), Awgn(1.0, 0.5)):
+            rng = np.random.default_rng(11)
+            first = transmit(x, ch, rng)
+            second = transmit(x, ch, rng)
+            assert not np.array_equal(first, second)
+            again = np.random.default_rng(11)
+            assert np.array_equal(transmit(x, ch, again), first)
+            assert np.array_equal(transmit(x, ch, again), second)
+            assert np.array_equal(transmit(x, ch, 11), first)
+
     def test_awgn_mean_law_of_large_numbers(self):
         n = 100_000
         y = transmit(np.zeros(n, dtype=np.uint8), Awgn(0.0, 0.5), seed=1)  # sigma^2 = 1

@@ -112,6 +112,16 @@ class TestDecode:
         assert res.returncode == 1
         assert "finite" in res.stderr
 
+    @pytest.mark.parametrize("algo, flag, value", [
+        ("bp", "--llr-clip", "nan"), ("admm", "--mu", "nan"), ("admm", "--mu", "inf"),
+        ("admm", "--epsilon", "nan"), ("dual-ascent", "--step", "inf"),
+    ])
+    def test_non_finite_decoder_parameter_is_usage_error(self, code_file, algo, flag, value):
+        res = run_cli("decode", "--code", str(code_file), "--llr", " ".join(["1"] * 24),
+                      "--algo", algo, flag, value)
+        assert res.returncode == 1
+        assert f"{flag[2:].replace('-', '_')} must be positive and finite" in res.stderr
+
     def test_defaults_in_help(self):
         res = run_cli("decode", "--help")
         assert res.returncode == 0
@@ -202,6 +212,14 @@ class TestSimulate:
                       "--points", "3100", "--trials", "4")
         assert res.returncode == 1
         assert "snr_db = 3100.0 dB" in res.stderr
+
+    @pytest.mark.parametrize("points", [",", ""])
+    def test_points_without_a_value_is_usage_error(self, code_file, points):
+        res = run_cli("simulate", "--code", str(code_file), "--channel", "bsc",
+                      "--points", points, "--trials", "4")
+        assert res.returncode == 1
+        assert "--points" in res.stderr
+        assert res.stdout == ""
 
     def test_needs_exactly_one_budget(self, code_file):
         res = run_cli("simulate", "--code", str(code_file), "--channel", "bsc",

@@ -267,6 +267,16 @@ class TestParityCheckMatrix:
                 assert (a.iterations, a.status) == (b.iterations, b.status)
                 assert np.array_equal(a.hard_decision, b.hard_decision)
 
+    def test_rejects_a_fractional_n_vars(self):
+        # It used to construct, then fail in var_degrees, emit_alist and
+        # decode; numpy integers still count.
+        with pytest.raises(TypeError):
+            ParityCheckMatrix(5.5, [[0, 1]])
+        blank = ParityCheckMatrix.__new__(ParityCheckMatrix)
+        with pytest.raises(TypeError):
+            blank.__setstate__((5.5, np.array([0, 1]), np.array([0, 2])))
+        assert ParityCheckMatrix(np.int64(3), [[0, 1]]) == ParityCheckMatrix(3, [[0, 1]])
+
     def test_unpickling_validates(self):
         blank = ParityCheckMatrix.__new__(ParityCheckMatrix)
         with pytest.raises(ValueError, match="check 0 has a parallel edge"):

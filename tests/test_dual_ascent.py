@@ -10,6 +10,7 @@ from polylp import (
     Bsc,
     decode,
     decode_dual_ascent,
+    is_codeword,
     llr,
     maximize_linear,
 )
@@ -41,8 +42,30 @@ class TestDualAscent:
             decode_dual_ascent(np.ones(3), SINGLE_CHECK)
 
     def test_step_validation(self):
-        with pytest.raises(ValueError):
-            DualAscentConfig(step=0.0)
+        for name, values in [("step", [0.0, np.nan, np.inf]), ("t_max", [0, 2.5])]:
+            for value in values:
+                with pytest.raises(ValueError, match=name):
+                    DualAscentConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "code",
+        [gen_regular_ldpc(48, 3, 6, seed=2), interleaved_code(24, 14, seed=5), hamming_7_4()],
+        ids=["regular", "interleaved", "hamming"],
+    )
+    def test_converged_output_is_a_certified_codeword(self, code):
+        # The loop stops only at exact consensus, where every check's
+        # variables sit on one of its even vertices.
+        rng = np.random.default_rng(4)
+        converged = 0
+        for p in (0.02, 0.06):
+            for _ in range(15):
+                gamma = llr((rng.random(code.n_vars) < p).astype(np.uint8), Bsc(p))
+                out = decode_dual_ascent(gamma, code, DualAscentConfig(t_max=300))
+                if out.status == STATUS_CONVERGED:
+                    converged += 1
+                    assert is_codeword(code, out.hard_decision)
+                    assert out.integral and out.ml_certificate
+        assert converged >= 10
 
     def test_agrees_with_admm_when_both_converge(self):
         # Fixture sweep: whenever dual ascent reaches zero residual with
@@ -81,7 +104,6 @@ def per_check_dual_ascent(gamma, code, config):
     """The dual-ascent loop with one scalar vertex rule per check."""
     ev = code.edge_var
     lam = np.zeros(code.n_edges)
-    threshold = config.epsilon**2 * code.n_edges
     for t in range(1, config.t_max + 1):
         load = np.bincount(ev, weights=lam, minlength=code.n_vars)
         x = ((-gamma - load) > 0.0).astype(float)
@@ -90,7 +112,7 @@ def per_check_dual_ascent(gamma, code, config):
             sl = code.check_slice(j)
             z[sl] = maximize_linear_scalar(lam[sl])
         residual = x[ev] - z
-        if float((residual**2).sum()) < threshold:
+        if not residual.any():
             return x, t, STATUS_CONVERGED
         lam += config.step * residual
     return x, config.t_max, STATUS_MAX_ITERS

@@ -145,6 +145,16 @@ class TestRunPoint:
         assert stats.trials == 50
         assert stats.word_errors == 0
 
+    @pytest.mark.parametrize("budget", ["n_trials", "target_errors"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_rejects_a_budget_below_one(self, budget, value):
+        code = hamming_7_4()
+        message = f"{budget} must be at least 1"
+        with pytest.raises(ValueError, match=message):
+            run_point(code, Bsc(0.1), ADMM, seed=0, **{budget: value})
+        with pytest.raises(ValueError, match=message):
+            sweep(code, [Bsc(0.1)], ADMM, seed=0, **{budget: value})
+
     @pytest.mark.parametrize("max_trials", [0, -3])
     def test_rejects_max_trials_below_one(self, max_trials):
         # A trial ceiling below one would report a word error rate of 0
