@@ -165,13 +165,13 @@ def _read_code(path: str):
 
 
 def _decoder_ref(algo: str, args: argparse.Namespace) -> DecoderRef:
-    """The decoder ``algo``, configured from the flags named like its fields."""
-    cls = DECODERS[algo]
-    values = {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+    """The decoder ``algo``, configured from the flags; every decoder's config is checked."""
     try:
-        return DecoderRef(algo, cls(**values))
+        configs = {name: cls(**{f.name: getattr(args, f.name) for f in fields(cls)
+                                if hasattr(args, f.name)}) for name, cls in DECODERS.items()}
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    return DecoderRef(algo, configs[algo])
 
 
 def _cmd_gen_code(args: argparse.Namespace) -> int:

@@ -8,7 +8,9 @@ model sampler for random regular LDPC ensembles.
 from __future__ import annotations
 
 import operator
+from contextlib import suppress
 from functools import cached_property
+from itertools import accumulate, chain
 from typing import Callable
 
 import numpy as np
@@ -244,66 +246,83 @@ def check_llrs(code: ParityCheckMatrix, gamma: ArrayLike) -> NDArray[np.float64]
     return gamma
 
 
-def _tokens_of_line(lines: list[str], idx: int, label: str) -> list[int]:
-    if idx >= len(lines):
-        raise AlistParseError(f"line {idx + 1}: missing {label}")
-    try:
-        return [int(t) for t in lines[idx].split()]
-    except ValueError as exc:
-        raise AlistParseError(f"line {idx + 1}: non-integer token in {label}") from exc
-
-
 def parse_alist(text: str) -> ParityCheckMatrix:
     """Parse alist text into a :class:`ParityCheckMatrix`.
 
     Layout: ``N M``, then the maximum column/row degrees, then N column
     degrees, M row degrees, N per-column lines of 1-based check indices,
-    and M per-row lines of 1-based variable indices.  Zero padding is
-    ignored.  Raises :class:`AlistParseError` naming the offending line.
+    and M per-row lines of 1-based variable indices.  Tokens are read by
+    ``int()`` and zero padding is ignored.  Raises :class:`AlistParseError`
+    naming the first offending line.
     """
-    lines = [ln for ln in text.splitlines()]
+    tokens = [ln.split() for ln in text.splitlines()]
     # Drop trailing blank lines but keep interior numbering intact.
-    while lines and not lines[-1].strip():
-        lines.pop()
+    while tokens and not tokens[-1]:
+        tokens.pop()
+    # ``+=`` stops at a token int() rejects and keeps the values before it,
+    # so their count finds line ``bad``, the first holding such a token.
+    values: list[int] = []
+    with suppress(ValueError):
+        values += map(int, chain.from_iterable(tokens))
+    starts = [0, *accumulate(map(len, tokens))]
+    bad = int(np.searchsorted(starts, len(values), "right")) - 1
 
-    header = _tokens_of_line(lines, 0, "size header")
-    if len(header) != 2:
-        raise AlistParseError("line 1: expected 'N M'")
-    n, m = header
+    def head(i: int, label: str, size: int, wrong: str) -> list[int]:
+        """Header line ``i``, which must hold ``size`` integers."""
+        if i >= bad:
+            what = "missing" if i >= len(tokens) else "non-integer token in"
+            raise AlistParseError(f"line {i + 1}: {what} {label}")
+        got = values[starts[i] : starts[i + 1]]
+        if len(got) != size:
+            raise AlistParseError(f"line {i + 1}: " + wrong.format(len(got)))
+        return got
+
+    n, m = head(0, "size header", 2, "expected 'N M'")
     if n <= 0 or m <= 0:
         raise AlistParseError("line 1: dimensions must be positive")
-
-    max_degs = _tokens_of_line(lines, 1, "maximum degrees")
-    if len(max_degs) != 2:
-        raise AlistParseError("line 2: expected maximum column and row degree")
-    max_col, max_row = max_degs
-
-    col_degs = _tokens_of_line(lines, 2, "column degrees")
-    if len(col_degs) != n:
-        raise AlistParseError(f"line 3: expected {n} column degrees, got {len(col_degs)}")
-    row_degs = _tokens_of_line(lines, 3, "row degrees")
-    if len(row_degs) != m:
-        raise AlistParseError(f"line 4: expected {m} row degrees, got {len(row_degs)}")
-    if any(d < 0 or d > max_col for d in col_degs):
+    max_col, max_row = head(1, "maximum degrees", 2, "expected maximum column and row degree")
+    col_degs = head(2, "column degrees", n, f"expected {n} column degrees, got {{}}")
+    row_degs = head(3, "row degrees", m, f"expected {m} row degrees, got {{}}")
+    if min(col_degs) < 0 or max(col_degs) > max_col:
         raise AlistParseError("line 3: column degree exceeds declared maximum")
-    if any(d < 1 or d > max_row for d in row_degs):
+    if min(row_degs) < 1 or max(row_degs) > max_row:
         raise AlistParseError("line 4: row degree out of range")
 
     expected = 4 + n + m
-    if len(lines) != expected:
+    if len(tokens) != expected:
         raise AlistParseError(
-            f"line {min(len(lines), expected) + 1}: expected {expected} lines, got {len(lines)}"
+            f"line {min(len(tokens), expected) + 1}: expected {expected} lines, got {len(tokens)}"
         )
 
-    checks = _section(lines, 4, col_degs, m, "column", "check")
-    variables = _section(lines, 4 + n, row_degs, n, "row", "variable")
+    # Entry line k (columns, then rows) is text line k + 5.  The lines from
+    # ``bad`` on list nothing, and the non-integer token comes first.  A
+    # value beyond int64 gives a float or object array; it fails the checks.
+    line = np.repeat(np.arange(bad - 4), np.diff(starts[4 : bad + 1]))
+    entries = np.array(values[starts[4] : starts[bad]])
+    line, entries = line[entries != 0], entries[entries != 0]
+    found = np.bincount(line, minlength=n + m)
+    degs = col_degs + row_degs
+    fault = _first_fault(
+        (np.arange(bad - 4, n + m)[:1], "non-integer token in {kind} entries"),
+        (np.flatnonzero(found != degs), "{kind} {k} lists {got} {item}s, degree says {deg}"),
+        (line[(entries < 1) | (entries > np.where(line < n, m, n))], "{item} index out of range"),
+    )
+    if fault:
+        k, what = fault
+        kind, item, i = ("column", "check", k) if k < n else ("row", "variable", k - n)
+        what = what.format(kind=kind, item=item, k=i + 1, got=found[k], deg=degs[k])
+        raise AlistParseError(f"line {k + 5}: {what}")
 
     # The two sections must describe the same matrix.  Key each edge by
     # (row, variable), as listed by the rows and by the columns.
-    by_row = np.sort(np.repeat(np.arange(m), row_degs) * n + variables)
-    by_col = np.sort(checks * n + np.repeat(np.arange(n), col_degs))
+    split = int(np.searchsorted(line, n))
+    variables = entries[split:] - 1
+    by_row = np.sort((line[split:] - n) * n + variables)
+    by_col = np.sort((entries[:split] - 1) * n + line[:split])
+    # Equal keys are the common case, and a compare costs far less than setxor1d.
+    odd = by_row[:0] if np.array_equal(by_row, by_col) else np.setxor1d(by_row, by_col)
     fault = _first_fault(
-        (np.setxor1d(by_row, by_col) // n, "disagrees with the column section"),
+        (odd // n, "disagrees with the column section"),
         (by_row[1:][np.diff(by_row) == 0] // n, "lists a variable twice"),
     )
     if fault:
@@ -317,25 +336,6 @@ def parse_alist(text: str) -> ParityCheckMatrix:
         raise AlistParseError(f"line {4 + k + 1}: column {k + 1} lists a check twice")
 
     return ParityCheckMatrix(n, _slices(variables, row_degs))
-
-
-def _section(
-    lines: list[str], first: int, degs: list[int], bound: int, kind: str, item: str
-) -> NDArray[np.int64]:
-    """The 0-based entries of the ``len(degs)`` alist lines from ``first``
-    on, concatenated, after checking each line's count and range."""
-    flat: list[int] = []
-    for k, deg in enumerate(degs):
-        ln = first + k
-        entries = [e for e in _tokens_of_line(lines, ln, f"{kind} entries") if e != 0]
-        if len(entries) != deg:
-            raise AlistParseError(
-                f"line {ln + 1}: {kind} {k + 1} lists {len(entries)} {item}s, degree says {deg}"
-            )
-        if any(e < 1 or e > bound for e in entries):
-            raise AlistParseError(f"line {ln + 1}: {item} index out of range")
-        flat += entries
-    return np.array(flat, dtype=np.int64) - 1
 
 
 def emit_alist(code: ParityCheckMatrix) -> str:

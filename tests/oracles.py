@@ -4,9 +4,9 @@ Everything here is brute force, a scalar loop, or delegates to a generic
 solver: vertex enumeration, a hull-projection QP with an optimality
 certificate, the incremental breakpoint march, GF(2) codebook
 enumeration, exhaustive marginalization, the decoding LP solved over
-the explicit facet description, per-check loopy belief propagation, and
-the per-check loop that builds a code's neighborhoods.  None of it
-shares code paths with the package under test.
+the explicit facet description, per-check loopy belief propagation, the
+per-check loop that builds a code's neighborhoods, and the line-by-line
+alist parser.  None of it shares code paths with the package under test.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 import numpy as np
 from scipy.optimize import linprog, nnls
 
-from polylp import ParityCheckMatrix
+from polylp import AlistParseError, ParityCheckMatrix
 
 
 def even_weight_vertices(d: int) -> np.ndarray:
@@ -357,3 +357,98 @@ def hamming_7_4() -> ParityCheckMatrix:
             [0, 0, 0, 1, 1, 1, 1],
         ]
     )
+
+
+def _alist_tokens_of_line(lines: list[str], idx: int, label: str) -> list[int]:
+    if idx >= len(lines):
+        raise AlistParseError(f"line {idx + 1}: missing {label}")
+    try:
+        return [int(t) for t in lines[idx].split()]
+    except ValueError as exc:
+        raise AlistParseError(f"line {idx + 1}: non-integer token in {label}") from exc
+
+
+def _alist_first_fault(*faults: tuple[np.ndarray, str]) -> tuple[int, str] | None:
+    found = [(int(js.min()), fault) for js, fault in faults if js.size]
+    return min(found, key=lambda f: f[0]) if found else None
+
+
+def parse_alist_reference(text: str) -> ParityCheckMatrix:
+    """``parse_alist`` one line at a time: each line's tokens through
+    ``int()``, each entry line checked for its count and then its range
+    before the next is read.  Same codes and same error messages."""
+    lines = [ln for ln in text.splitlines()]
+    # Drop trailing blank lines but keep interior numbering intact.
+    while lines and not lines[-1].strip():
+        lines.pop()
+
+    header = _alist_tokens_of_line(lines, 0, "size header")
+    if len(header) != 2:
+        raise AlistParseError("line 1: expected 'N M'")
+    n, m = header
+    if n <= 0 or m <= 0:
+        raise AlistParseError("line 1: dimensions must be positive")
+
+    max_degs = _alist_tokens_of_line(lines, 1, "maximum degrees")
+    if len(max_degs) != 2:
+        raise AlistParseError("line 2: expected maximum column and row degree")
+    max_col, max_row = max_degs
+
+    col_degs = _alist_tokens_of_line(lines, 2, "column degrees")
+    if len(col_degs) != n:
+        raise AlistParseError(f"line 3: expected {n} column degrees, got {len(col_degs)}")
+    row_degs = _alist_tokens_of_line(lines, 3, "row degrees")
+    if len(row_degs) != m:
+        raise AlistParseError(f"line 4: expected {m} row degrees, got {len(row_degs)}")
+    if any(d < 0 or d > max_col for d in col_degs):
+        raise AlistParseError("line 3: column degree exceeds declared maximum")
+    if any(d < 1 or d > max_row for d in row_degs):
+        raise AlistParseError("line 4: row degree out of range")
+
+    expected = 4 + n + m
+    if len(lines) != expected:
+        raise AlistParseError(
+            f"line {min(len(lines), expected) + 1}: expected {expected} lines, got {len(lines)}"
+        )
+
+    checks = _alist_section(lines, 4, col_degs, m, "column", "check")
+    variables = _alist_section(lines, 4 + n, row_degs, n, "row", "variable")
+
+    # The two sections must describe the same matrix.  Key each edge by
+    # (row, variable), as listed by the rows and by the columns.
+    by_row = np.sort(np.repeat(np.arange(m), row_degs) * n + variables)
+    by_col = np.sort(checks * n + np.repeat(np.arange(n), col_degs))
+    fault = _alist_first_fault(
+        (np.setxor1d(by_row, by_col) // n, "disagrees with the column section"),
+        (by_row[1:][np.diff(by_row) == 0] // n, "lists a variable twice"),
+    )
+    if fault:
+        j, what = fault
+        raise AlistParseError(f"line {4 + n + j + 1}: row {j + 1} {what}")
+    # The rows name each edge once, so a key the columns repeat is a
+    # column that lists a check twice.
+    twice = by_col[1:][np.diff(by_col) == 0] % n
+    if twice.size:
+        k = int(twice.min())
+        raise AlistParseError(f"line {4 + k + 1}: column {k + 1} lists a check twice")
+
+    return ParityCheckMatrix(n, np.split(variables, np.cumsum(row_degs)[:-1]))
+
+
+def _alist_section(
+    lines: list[str], first: int, degs: list[int], bound: int, kind: str, item: str
+) -> np.ndarray:
+    """The 0-based entries of the ``len(degs)`` alist lines from ``first``
+    on, concatenated, after checking each line's count and range."""
+    flat: list[int] = []
+    for k, deg in enumerate(degs):
+        ln = first + k
+        entries = [e for e in _alist_tokens_of_line(lines, ln, f"{kind} entries") if e != 0]
+        if len(entries) != deg:
+            raise AlistParseError(
+                f"line {ln + 1}: {kind} {k + 1} lists {len(entries)} {item}s, degree says {deg}"
+            )
+        if any(e < 1 or e > bound for e in entries):
+            raise AlistParseError(f"line {ln + 1}: {item} index out of range")
+        flat += entries
+    return np.array(flat, dtype=np.int64) - 1

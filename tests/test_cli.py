@@ -115,6 +115,8 @@ class TestDecode:
     @pytest.mark.parametrize("algo, flag, value", [
         ("bp", "--llr-clip", "nan"), ("admm", "--mu", "nan"), ("admm", "--mu", "inf"),
         ("admm", "--epsilon", "nan"), ("dual-ascent", "--step", "inf"),
+        # Flags of a decoder that does not run are checked too.
+        ("admm", "--step", "inf"), ("bp", "--step", "inf"), ("bp", "--mu", "nan"),
     ])
     def test_non_finite_decoder_parameter_is_usage_error(self, code_file, algo, flag, value):
         res = run_cli("decode", "--code", str(code_file), "--llr", " ".join(["1"] * 24),

@@ -17,7 +17,7 @@ from polylp import (
     is_codeword,
     parse_alist,
 )
-from oracles import codebook, interleaved_code, neighborhoods_by_loop
+from oracles import codebook, interleaved_code, neighborhoods_by_loop, parse_alist_reference
 
 # H = [[1,1,0],[0,1,1]]: column degrees 1 2 1, row degrees 2 2.
 FIXTURE_ALIST = """\
@@ -75,24 +75,80 @@ def mutated_alists(draw):
     return "\n".join(sep.join(ln) for ln in lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
 
 
-def parses_or_raises_parse_error(text):
+def parse_outcome(parse, text):
+    """The code ``parse`` makes of ``text``, or its AlistParseError message."""
     try:
-        code = parse_alist(text)
-    except AlistParseError:
-        return
-    assert isinstance(code, ParityCheckMatrix)
+        return parse(text)
+    except AlistParseError as exc:
+        return str(exc)
+
+
+def matches_reference(text):
+    """``parse_alist`` returns the line-by-line reference's code, or raises
+    an AlistParseError with its message; any other error escapes."""
+    got = parse_outcome(parse_alist, text)
+    want = parse_outcome(parse_alist_reference, text)
+    assert type(got) is type(want) and got == want, (got, want)
+    return got
 
 
 @FUZZ
 @given(mutated_alists())
 def test_parse_alist_fuzz_raises_only_parse_errors(text):
-    parses_or_raises_parse_error(text)
+    matches_reference(text)
 
 
 @FUZZ
 @given(st.text(alphabet="0123456789 -\n\tx.", max_size=60))
 def test_parse_alist_fuzz_on_raw_text(text):
-    parses_or_raises_parse_error(text)
+    matches_reference(text)
+
+
+BIG = "99999999999999999999"  # beyond int64
+FIXTURE_CODE = ParityCheckMatrix(3, [[0, 1], [1, 2]])
+
+
+@pytest.mark.parametrize(
+    "text, outcome",
+    [
+        (FIXTURE_ALIST.replace("\n", "\r\n"), FIXTURE_CODE),
+        (FIXTURE_ALIST.replace("\n1\n1 2\n2\n", "\n1 0\n0 1 2\n2 0 0\n"), FIXTURE_CODE),
+        (FIXTURE_ALIST.replace("\n1\n1 2\n2\n", "\n1 -0\n1 -0 2\n2\n"), FIXTURE_CODE),
+        (FIXTURE_ALIST.replace("3 2\n", f"{BIG} 2\n", 1),
+         f"line 3: expected {BIG} column degrees, got 3"),
+        (FIXTURE_ALIST.replace("\n2 2\n1 2 1\n", f"\n{BIG} 2\n1 2 1\n"), FIXTURE_CODE),
+        (FIXTURE_ALIST.replace("\n2 2\n1 2 1\n", f"\n{BIG} 2\n1 {BIG} 1\n"),
+         f"line 6: column 2 lists 2 checks, degree says {BIG}"),
+        (FIXTURE_ALIST.replace("\n2 3\n", f"\n2 {BIG}\n"), "line 9: variable index out of range"),
+        (FIXTURE_ALIST.replace("\n2 3\n", f"\n2 -{BIG}\n"), "line 9: variable index out of range"),
+        (FIXTURE_ALIST.replace("\n1 2\n2\n1 2\n", "\n1\n2\n1 x\n"),
+         "line 6: column 2 lists 1 checks, degree says 2"),
+        (FIXTURE_ALIST.replace("\n1 2\n2\n1 2\n", f"\n1 {BIG}\n2\n1 x\n"),
+         "line 6: check index out of range"),
+    ],
+    ids=["crlf", "zero-padding", "minus-zero", "big-header", "big-max-degree",
+         "big-degree", "big-entry", "big-negative-entry", "count-before-later-token",
+         "range-before-later-token"],
+)
+def test_parse_alist_fixed_cases(text, outcome):
+    assert matches_reference(text) == outcome
+
+
+@pytest.fixture(scope="module")
+def long_alist():
+    return emit_alist(gen_regular_ldpc(20000, 3, 6, seed=1))
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [("x", "non-integer token in row entries"), ("30001", "variable index out of range"),
+     ("0", "row 10000 lists 5 variables, degree says 6")],
+)
+def test_parse_alist_names_the_last_line_of_a_long_code(long_alist, token, message):
+    # N=20000, M=10000: the last row is text line 4 + N + M = 30004.
+    head, last = long_alist.rstrip("\n").rsplit("\n", 1)
+    text = head + "\n" + " ".join(last.split()[:-1] + [token]) + "\n"
+    assert matches_reference(text) == f"line 30004: {message}"
 
 
 INT_FORMS = {
