@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -25,7 +26,7 @@ from .channels import Awgn, Bsc, ChannelModel
 from .codes import check_llrs, gen_regular_ldpc, emit_alist, parse_alist
 from .dual_ascent import DualAscentConfig
 from .parity_polytope import ProjectionWorkspace, project_parity_polytope
-from .simulator import ALGORITHMS, DECODERS, DecoderRef, stats_to_csv, sweep
+from .simulator import ALGORITHMS, DECODERS, DecoderRef, check_run_args, stats_to_csv, sweep
 
 
 class UsageError(Exception):
@@ -156,14 +157,6 @@ def _write(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _read_code(path: str):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise RuntimeError(f"cannot read code file {path!r}: {exc}") from exc
-    return parse_alist(text)
-
-
 def _decoder_ref(algo: str, args: argparse.Namespace) -> DecoderRef:
     """The decoder ``algo``, configured from the flags; every decoder's config is checked."""
     try:
@@ -196,7 +189,7 @@ def _output_json(out: DecodeOutput) -> str:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
-    code = _read_code(args.code)
+    code = parse_alist(Path(args.code).read_text())
     gamma_text = Path(args.llr).read_text() if os.path.exists(args.llr) else args.llr
     try:
         gamma = check_llrs(code, [float(t) for t in gamma_text.split()])
@@ -227,7 +220,7 @@ def _cmd_project(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    code = _read_code(args.code)
+    code = parse_alist(Path(args.code).read_text())
     try:
         params = [float(t) for t in args.points.split(",") if t.strip()]
     except ValueError as exc:
@@ -241,17 +234,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         ]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if (args.trials is None) == (args.target_errors is None):
-        raise UsageError("give exactly one of --trials or --target-errors")
-    flag, budget = (("--trials", args.trials) if args.trials is not None
-                    else ("--target-errors", args.target_errors))
-    if budget < 1:
-        raise UsageError(f"{flag} must be at least 1, got {budget}")
-    if args.max_trials < 1:
-        raise UsageError(f"--max-trials must be at least 1, got {args.max_trials}")
     workers = args.workers if args.workers is not None else _default_workers()
-    if workers < 1:
-        raise UsageError(f"workers must be at least 1, got {workers}")
+    try:
+        check_run_args(args.trials, args.target_errors, args.max_trials, workers, args.seed)
+    except ValueError as exc:
+        # Name each argument by its flag; workers may come from POLYLP_WORKERS.
+        flags = {"n_trials": "--trials", "target_errors": "--target-errors",
+                 "max_trials": "--max-trials", "seed": "--seed"}
+        raise UsageError(re.sub(r"\w+", lambda m: flags.get(m[0], m[0]), str(exc))) from exc
     ref = _decoder_ref(args.decoder, args)
     stats = sweep(
         code,

@@ -351,13 +351,15 @@ def emit_alist(code: ParityCheckMatrix) -> str:
     return "\n".join(out) + "\n"
 
 
-def gen_regular_ldpc(
-    n: int, var_deg: int, check_deg: int, seed: int, max_attempts: int = 1000
-) -> ParityCheckMatrix:
+# Draws that gen_regular_ldpc makes before it gives up.
+_GEN_ATTEMPTS = 1000
+
+
+def gen_regular_ldpc(n: int, var_deg: int, check_deg: int, seed: int) -> ParityCheckMatrix:
     """Sample a (var_deg, check_deg)-regular code via the configuration model.
 
     Variable sockets are permuted and dealt to checks; draws with parallel
-    edges are rejected and resampled, up to ``max_attempts`` times.  Short
+    edges are rejected and resampled, up to ``_GEN_ATTEMPTS`` times.  Short
     cycles other than parallel edges are kept.  Deterministic per seed.
     """
     if n <= 0 or var_deg <= 0 or check_deg <= 0:
@@ -367,12 +369,12 @@ def gen_regular_ldpc(
     m = (n * var_deg) // check_deg
     rng = np.random.default_rng(seed)
     sockets = np.repeat(np.arange(n), var_deg)
-    for _ in range(max_attempts):
+    for _ in range(_GEN_ATTEMPTS):
         dealt = rng.permutation(sockets).reshape(m, check_deg)
         dealt.sort(axis=1)
         if np.all(np.diff(dealt, axis=1) != 0):
             return ParityCheckMatrix(n, list(dealt))
     raise CodeGenerationError(
         f"no parallel-edge-free ({var_deg},{check_deg}) code of length {n} "
-        f"found in {max_attempts} attempts"
+        f"found in {_GEN_ATTEMPTS} attempts"
     )

@@ -22,9 +22,7 @@ PARITY_TOL = 1e-9
 
 
 def even_floor(a: float) -> int:
-    """Largest even integer less than or equal to ``a``."""
-    if math.isnan(a):
-        raise ValueError("even_floor of NaN")
+    """Largest even integer less than or equal to ``a``; NaN raises ``ValueError``."""
     return 2 * math.floor(a / 2.0)
 
 

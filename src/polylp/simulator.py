@@ -59,8 +59,8 @@ ALGORITHMS = tuple(DECODERS)
 class DecoderRef:
     """Picklable decoder selection: algorithm name plus its config.
 
-    ``config`` must be an instance of ``DECODERS[algo]``; ``None`` means
-    that class's defaults.
+    ``config`` must be an instance of ``DECODERS[algo]``; ``None`` is
+    replaced by that class's defaults when the reference is built.
     """
 
     algo: str = "admm"
@@ -70,7 +70,9 @@ class DecoderRef:
         if self.algo not in DECODERS:
             raise ValueError(f"unknown decoder {self.algo!r}; use one of {ALGORITHMS}")
         expected = DECODERS[self.algo]
-        if self.config is not None and not isinstance(self.config, expected):
+        if self.config is None:
+            object.__setattr__(self, "config", expected())
+        elif not isinstance(self.config, expected):
             raise ValueError(
                 f"decoder {self.algo!r} takes a {expected.__name__}, "
                 f"not a {type(self.config).__name__}"
@@ -80,8 +82,7 @@ class DecoderRef:
         # Read from the module globals per bind, so a wrapper installed on
         # them is used.
         fn = {"admm": decode, "bp": decode_bp, "dual-ascent": decode_dual_ascent}[self.algo]
-        cfg = self.config if self.config is not None else DECODERS[self.algo]()
-        return lambda g: fn(g, code, cfg)
+        return lambda g: fn(g, code, self.config)
 
 
 class MlOutcome(enum.Enum):
@@ -154,10 +155,6 @@ class TrialStats:
         return self.bit_errors / (self.trials * self.n_vars) if self.trials else 0.0
 
 
-# One decoded trial: (word_error, bit_errors, iterations, seconds, ml_error).
-_TrialRecord = tuple[bool, int, int, float, bool]
-
-
 def _run_trial(
     code: ParityCheckMatrix,
     channel: ChannelModel,
@@ -166,7 +163,8 @@ def _run_trial(
     seed: int,
     point_index: int,
     trial_index: int,
-) -> _TrialRecord:
+) -> tuple[int, int, float, bool]:
+    """One decoded trial: (bit_errors, iterations, seconds, ml_error)."""
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(point_index, trial_index))
     )
@@ -177,26 +175,30 @@ def _run_trial(
     out = decode_fn(gamma)
     elapsed = time.perf_counter() - t0
     bit_errors = int(np.count_nonzero(out.hard_decision != transmitted))
-    word_error = bit_errors > 0
-    ml_error = False
-    if word_error:
-        ml_error = ml_account(out, gamma, code, transmitted) is MlOutcome.CERTIFIED_ERROR
-    return word_error, bit_errors, out.iterations, elapsed, ml_error
+    ml_error = bit_errors > 0 and (
+        ml_account(out, gamma, code, transmitted) is MlOutcome.CERTIFIED_ERROR
+    )
+    return bit_errors, out.iterations, elapsed, ml_error
 
 
-def _check_budget(
-    n_trials: int | None, target_errors: int | None, max_trials: int, workers: int
+def check_run_args(
+    n_trials: int | None, target_errors: int | None, max_trials: int, workers: int,
+    seed: int, point_index: int = 0,
 ) -> None:
+    """Check a run's arguments: the one rulebook of :func:`run_point`, :func:`sweep` and the CLI.
+
+    Exactly one budget is given.  It, ``max_trials`` and ``workers`` must be
+    integers of at least 1, and ``seed`` and ``point_index`` of at least 0.
+    """
     if (n_trials is None) == (target_errors is None):
         raise ValueError("give exactly one of n_trials or target_errors")
-    if n_trials is not None and n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
-    if target_errors is not None and target_errors < 1:
-        raise ValueError("target_errors must be at least 1")
-    if max_trials < 1:
-        raise ValueError("max_trials must be at least 1")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    budget = ("n_trials", n_trials) if n_trials is not None else ("target_errors", target_errors)
+    for name, value, least in ((*budget, 1), ("max_trials", max_trials, 1), ("workers", workers, 1),
+                               ("seed", seed, 0), ("point_index", point_index, 0)):
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 def run_point(
@@ -225,7 +227,7 @@ def run_point(
     ``max_trials``.  Results depend only on (seed, point_index, trial
     index), never on the worker count.
     """
-    _check_budget(n_trials, target_errors, max_trials, workers)
+    check_run_args(n_trials, target_errors, max_trials, workers, seed, point_index)
     sent = _sent_word(code, transmitted)
     # A fixed budget is one wave that no error count stops.  Waves of a
     # fixed size keep the trial order, and therefore the stopping point,
@@ -255,9 +257,9 @@ def run_point(
                 records = map(run, wave)
             else:
                 records = pool.map(run, wave, chunksize=math.ceil(len(wave) / (4 * workers)))
-            for word_error, bit_errors, iters, elapsed, ml_error in records:
+            for bit_errors, iters, elapsed, ml_error in records:
                 stats.trials += 1
-                if word_error:
+                if bit_errors:
                     stats.word_errors += 1
                     stats.bit_errors += bit_errors
                     stats.iter_sum_erroneous += iters
@@ -283,7 +285,7 @@ def sweep(
     workers: int = 1,
 ) -> list[TrialStats]:
     """Run one :func:`run_point` per channel point, sharing the worker pool."""
-    _check_budget(n_trials, target_errors, max_trials, workers)
+    check_run_args(n_trials, target_errors, max_trials, workers, seed)
     with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         return [
             run_point(

@@ -78,6 +78,10 @@ class TestTransmit:
         with pytest.raises(ValueError, match="0 or 1"):
             transmit(word, ch, seed=0)
 
+    def test_rejects_a_word_that_is_not_1d(self):
+        with pytest.raises(ValueError, match="1-D"):
+            transmit(np.zeros((2, 3), dtype=np.uint8), Bsc(0.1), seed=0)
+
     @pytest.mark.parametrize("dtype", BIT_DTYPES)
     def test_accepts_bits_of_any_dtype(self, dtype):
         word = np.array([0, 1, 1, 0], dtype=dtype)
@@ -110,6 +114,11 @@ class TestLlr:
     def test_bsc_rejects_non_binary(self, received):
         with pytest.raises(ValueError, match="0 or 1"):
             llr(received, Bsc(0.2))
+
+    @pytest.mark.parametrize("ch", [Bsc(0.2), Awgn(2.0, 0.5)], ids=["bsc", "awgn"])
+    def test_rejects_a_vector_that_is_not_1d(self, ch):
+        with pytest.raises(ValueError, match="1-D"):
+            llr(np.zeros((2, 3)), ch)
 
     @pytest.mark.parametrize("dtype", BIT_DTYPES)
     def test_bsc_accepts_bits_of_any_dtype(self, dtype):

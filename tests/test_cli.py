@@ -267,6 +267,13 @@ class TestSimulate:
         assert f"--max-trials must be at least 1, got {value}" in res.stderr
         assert res.stdout == ""
 
+    def test_negative_seed_is_usage_error(self, code_file):
+        res = run_cli("simulate", "--code", str(code_file), "--channel", "bsc",
+                      "--points", "0.05", "--trials", "4", "--seed", "-1")
+        assert res.returncode == 1
+        assert "--seed must be at least 0, got -1" in res.stderr
+        assert res.stdout == ""
+
     def test_non_integer_env_workers_is_usage_error(self, code_file):
         import os
         env = dict(os.environ, POLYLP_WORKERS="abc")

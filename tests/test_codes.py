@@ -283,6 +283,11 @@ class TestParityCheckMatrix:
         with pytest.raises(ValueError, match=message):
             ParityCheckMatrix(3, [[0, 1], [[0, 1], [2]], [0, 0]])
 
+    @pytest.mark.parametrize("h", [[1, 0, 1], [[[1, 1]]]], ids=["1-D", "3-D"])
+    def test_from_dense_rejects_a_matrix_that_is_not_2d(self, h):
+        with pytest.raises(ValueError, match="must be 2-D"):
+            ParityCheckMatrix.from_dense(h)
+
     @pytest.mark.parametrize("h", [[[1, 2, 0], [0, 1, 1]], [[1, 0.5, 1]]])
     def test_from_dense_rejects_entries_other_than_0_and_1(self, h):
         with pytest.raises(ValueError, match="entries must be 0 or 1"):
@@ -428,6 +433,11 @@ class TestGenRegular:
         with pytest.raises(ValueError, match="divisible"):
             gen_regular_ldpc(10, 3, 7, seed=0)
 
+    @pytest.mark.parametrize("n, var_deg, check_deg", [(0, 3, 6), (-6, 3, 6), (6, 0, 6), (6, 3, -3)])
+    def test_rejects_a_parameter_below_one(self, n, var_deg, check_deg):
+        with pytest.raises(ValueError, match="must be positive"):
+            gen_regular_ldpc(n, var_deg, check_deg, seed=0)
+
     def test_handshake_identity(self):
         code = gen_regular_ldpc(120, 3, 6, seed=7)
         assert code.var_degrees.sum() == code.check_degrees.sum() == 120 * 3
@@ -435,7 +445,7 @@ class TestGenRegular:
     def test_generation_failure_bounded(self):
         # Degree-6 checks over 2 variables cannot avoid parallel edges.
         with pytest.raises(CodeGenerationError):
-            gen_regular_ldpc(2, 3, 6, seed=0, max_attempts=10)
+            gen_regular_ldpc(2, 3, 6, seed=0)
 
     def test_emit_parse_round_trip(self):
         code = gen_regular_ldpc(48, 3, 6, seed=3)

@@ -72,6 +72,11 @@ class TestMembership:
         # Inside the box with an integer sum, but above the top slice.
         assert not membership(np.ones(3))
 
+    @pytest.mark.parametrize("u", [[], [[0.5, 0.5]]], ids=["empty", "2-D"])
+    def test_rejects_a_vector_that_is_not_1d(self, u):
+        with pytest.raises(ValueError, match="non-empty 1-D vector"):
+            membership(np.array(u))
+
     def test_against_lp_oracle_random(self):
         rng = np.random.default_rng(1)
         checked_in = checked_out = 0
@@ -121,6 +126,14 @@ class TestProjection:
             project(np.array([np.nan, 0.0]))
         with pytest.raises(ValueError):
             project(np.array([]))
+
+    def test_batch_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="finite"):
+            project_batch(np.array([[0.5, np.inf]]))
+        with pytest.raises(ValueError, match=r"\(m, d\)"):
+            project_batch(np.ones(3))
+        with pytest.raises(ValueError, match=r"\(m, d\)"):
+            project_batch(np.ones((2, 0)))
 
     def test_input_never_mutated(self):
         u = np.array([1.3, -0.7, 0.4])
@@ -229,6 +242,11 @@ class TestMaximizeLinear:
             assert z.sum() % 2 == 0
             best = float((even_weight_vertices(d) @ c).max())
             assert float(c @ z) == pytest.approx(best, abs=1e-12)
+
+    @pytest.mark.parametrize("c", [[], [[1.0, -2.0]]], ids=["empty", "2-D"])
+    def test_rejects_a_vector_that_is_not_1d(self, c):
+        with pytest.raises(ValueError, match="non-empty 1-D vector"):
+            maximize_linear(np.array(c))
 
 
 class TestMaximizeLinearBatch:

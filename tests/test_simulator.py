@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -167,6 +168,33 @@ class TestRunPoint:
         with pytest.raises(ValueError, match="max_trials must be at least 1"):
             sweep(code, [], ADMM, target_errors=5, max_trials=max_trials, seed=0)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name, value, message", [
+        ("n_trials", 2.5, "n_trials must be an integer, got 2.5"),
+        ("target_errors", 1.5, "target_errors must be an integer, got 1.5"),
+        ("workers", 1.5, "workers must be an integer, got 1.5"),
+        ("seed", -1, "seed must be at least 0, got -1"),
+        ("point_index", -1, "point_index must be at least 0, got -1"),
+    ], ids=["n_trials", "target_errors", "workers", "seed", "point_index"])
+    def test_rejects_a_bad_run_argument_before_any_pool_or_trial(
+        self, monkeypatch, workers, name, value, message
+    ):
+        def started(*args, **kwargs):
+            raise AssertionError("started before the arguments were checked")
+
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", started)
+        monkeypatch.setattr(simulator, "_run_trial", started)
+        code = hamming_7_4()
+        kwargs = {"n_trials": 5, "seed": 0, "workers": workers}
+        if name == "target_errors":
+            del kwargs["n_trials"]
+        kwargs[name] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_point(code, Bsc(0.1), ADMM, **kwargs)
+        if name != "point_index":
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                sweep(code, [Bsc(0.1)], ADMM, **kwargs)
+
     def test_iteration_split_accounting(self):
         code = gen_regular_ldpc(32, 3, 6, seed=0)
         channel = Bsc(0.06)
@@ -311,3 +339,8 @@ class TestSweep:
             DecoderRef("dual-ascent", AdmmConfig())
         with pytest.raises(ValueError, match="AdmmConfig"):
             DecoderRef("admm", BpConfig())
+
+    def test_decoder_ref_without_a_config_holds_the_defaults(self):
+        assert DecoderRef("admm").config == AdmmConfig()
+        for algo, config_class in simulator.DECODERS.items():
+            assert DecoderRef(algo) == DecoderRef(algo, config_class())
