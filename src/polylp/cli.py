@@ -167,11 +167,18 @@ def _decoder_ref(algo: str, args: argparse.Namespace) -> DecoderRef:
     return DecoderRef(algo, configs[algo])
 
 
+def _flag_error(exc: ValueError) -> UsageError:
+    """``exc`` as a usage error that names each argument by its flag."""
+    flags = {"n_trials": "--trials", "target_errors": "--target-errors",
+             "max_trials": "--max-trials", "seed": "--seed"}
+    return UsageError(re.sub(r"\w+", lambda m: flags.get(m[0], m[0]), str(exc)))
+
+
 def _cmd_gen_code(args: argparse.Namespace) -> int:
     try:
         code = gen_regular_ldpc(args.n, args.dv, args.dc, args.seed)
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise _flag_error(exc) from exc
     _write(emit_alist(code), args.out)
     return 0
 
@@ -238,10 +245,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     try:
         check_run_args(args.trials, args.target_errors, args.max_trials, workers, args.seed)
     except ValueError as exc:
-        # Name each argument by its flag; workers may come from POLYLP_WORKERS.
-        flags = {"n_trials": "--trials", "target_errors": "--target-errors",
-                 "max_trials": "--max-trials", "seed": "--seed"}
-        raise UsageError(re.sub(r"\w+", lambda m: flags.get(m[0], m[0]), str(exc))) from exc
+        # workers keeps its name: it may come from POLYLP_WORKERS.
+        raise _flag_error(exc) from exc
     ref = _decoder_ref(args.decoder, args)
     stats = sweep(
         code,

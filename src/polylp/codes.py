@@ -39,33 +39,47 @@ class ParityCheckMatrix:
     """
 
     def __init__(self, n_vars: int, check_neighborhoods: list[ArrayLike]):
-        n_vars = operator.index(n_vars)
-        if n_vars <= 0:
-            raise ValueError("n_vars must be positive")
         nbhds = [_index_array(nb) for nb in check_neighborhoods]
-        if not nbhds:
-            raise ValueError("need at least one check")
         # The checks before the first one that is not a 1-D integer array
         # are validated together; a fault among them comes first.
         m = next((j for j, a in enumerate(nbhds) if a is None), len(nbhds))
         sizes = np.array([a.size for a in nbhds[:m]], dtype=np.int64)
         flat = np.concatenate(nbhds[:m] or [[]], dtype=np.int64, casting="unsafe")
-        check_of = np.repeat(np.arange(m), sizes)
-        flat = flat[np.lexsort((flat, check_of))]
+        flat = flat[np.lexsort((flat, np.repeat(np.arange(m), sizes)))]
+        self._set_csr(n_vars, flat, sizes, np.arange(m, len(nbhds)))
+
+    def _set_csr(self, n_vars: int, flat: ArrayLike, sizes: ArrayLike,
+                 malformed: NDArray[np.int64] = np.arange(0)) -> None:
+        """Validate and store a CSR pair, edges sorted within each check;
+        ``malformed`` numbers later checks that are not 1-D integer arrays."""
+        n_vars = operator.index(n_vars)
+        if n_vars <= 0:
+            raise ValueError("n_vars must be positive")
+        flat, sizes = np.asarray(flat, dtype=np.int64), np.asarray(sizes, dtype=np.int64)
+        if sizes.size + malformed.size == 0:
+            raise ValueError("need at least one check")
+        check_of = np.repeat(np.arange(sizes.size), sizes)
         fault = _first_fault(
             (np.flatnonzero(sizes == 0), "has no variables"),
             (check_of[(flat < 0) | (flat >= n_vars)], "has a variable index out of range"),
             (check_of[1:][(np.diff(flat) == 0) & (np.diff(check_of) == 0)], "has a parallel edge"),
-            (np.arange(m, len(nbhds)), "must be a 1-D array of integer variable indices"),
+            (malformed, "must be a 1-D array of integer variable indices"),
         )
         if fault:
             raise ValueError("check {} {}".format(*fault))
         ptr = np.concatenate([[0], np.cumsum(sizes)])
         flat.flags.writeable = ptr.flags.writeable = False
         self.n_vars = n_vars
-        self.n_checks = m
+        self.n_checks = sizes.size
         self.edge_var: NDArray[np.int64] = flat
         self.check_ptr: NDArray[np.int64] = ptr
+
+    @classmethod
+    def _from_csr(cls, n_vars: int, flat: ArrayLike, sizes: ArrayLike) -> "ParityCheckMatrix":
+        """A code from a CSR pair that is already sorted, with the constructor's checks."""
+        code = cls.__new__(cls)
+        code._set_csr(n_vars, flat, sizes)
+        return code
 
     @classmethod
     def from_dense(cls, h: ArrayLike) -> "ParityCheckMatrix":
@@ -74,7 +88,7 @@ class ParityCheckMatrix:
             raise ValueError("dense parity-check matrix must be 2-D")
         if not ((h == 0) | (h == 1)).all():
             raise ValueError("dense parity-check matrix entries must be 0 or 1")
-        return cls(h.shape[1], [np.flatnonzero(row) for row in h])
+        return cls._from_csr(h.shape[1], np.nonzero(h)[1], np.count_nonzero(h, axis=1))
 
     def to_dense(self) -> NDArray[np.uint8]:
         h = np.zeros((self.n_checks, self.n_vars), dtype=np.uint8)
@@ -222,6 +236,14 @@ def _slices(flat: NDArray | list[str], sizes: ArrayLike) -> tuple:
     return tuple(flat[a:b] for a, b in zip(bounds, bounds[1:]))
 
 
+def check_integer(name: str, value: object, least: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer of at least ``least``."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 def is_codeword(code: ParityCheckMatrix, x: ArrayLike) -> bool:
     """True iff every check neighborhood of ``x`` sums to even parity."""
     x = np.asarray(x)
@@ -314,10 +336,10 @@ def parse_alist(text: str) -> ParityCheckMatrix:
         raise AlistParseError(f"line {k + 5}: {what}")
 
     # The two sections must describe the same matrix.  Key each edge by
-    # (row, variable), as listed by the rows and by the columns.
+    # (row, variable), as listed by the rows and by the columns; sorted, the
+    # row keys are the code's CSR pair.
     split = int(np.searchsorted(line, n))
-    variables = entries[split:] - 1
-    by_row = np.sort((line[split:] - n) * n + variables)
+    by_row = np.sort((line[split:] - n) * n + entries[split:] - 1)
     by_col = np.sort((entries[:split] - 1) * n + line[:split])
     # Equal keys are the common case, and a compare costs far less than setxor1d.
     odd = by_row[:0] if np.array_equal(by_row, by_col) else np.setxor1d(by_row, by_col)
@@ -335,7 +357,7 @@ def parse_alist(text: str) -> ParityCheckMatrix:
         k = int(twice.min())
         raise AlistParseError(f"line {4 + k + 1}: column {k + 1} lists a check twice")
 
-    return ParityCheckMatrix(n, _slices(variables, row_degs))
+    return ParityCheckMatrix._from_csr(n, by_row % n, row_degs)
 
 
 def emit_alist(code: ParityCheckMatrix) -> str:
@@ -366,6 +388,7 @@ def gen_regular_ldpc(n: int, var_deg: int, check_deg: int, seed: int) -> ParityC
         raise ValueError("code parameters must be positive")
     if (n * var_deg) % check_deg != 0:
         raise ValueError("n * var_deg must be divisible by check_deg")
+    check_integer("seed", seed, 0)
     m = (n * var_deg) // check_deg
     rng = np.random.default_rng(seed)
     sockets = np.repeat(np.arange(n), var_deg)
@@ -373,7 +396,7 @@ def gen_regular_ldpc(n: int, var_deg: int, check_deg: int, seed: int) -> ParityC
         dealt = rng.permutation(sockets).reshape(m, check_deg)
         dealt.sort(axis=1)
         if np.all(np.diff(dealt, axis=1) != 0):
-            return ParityCheckMatrix(n, list(dealt))
+            return ParityCheckMatrix._from_csr(n, dealt.ravel(), np.full(m, check_deg))
     raise CodeGenerationError(
         f"no parallel-edge-free ({var_deg},{check_deg}) code of length {n} "
         f"found in {_GEN_ATTEMPTS} attempts"

@@ -26,11 +26,6 @@ def even_floor(a: float) -> int:
     return 2 * math.floor(a / 2.0)
 
 
-def _snapped_parity(s: float) -> int:
-    # Snap sums that sit a rounding error below an even integer.
-    return even_floor(s + PARITY_TOL)
-
-
 def membership(u: ArrayLike, tol: float = PARITY_TOL) -> bool:
     """Test whether ``u`` lies in the parity polytope, within ``tol``.
 
@@ -45,7 +40,8 @@ def membership(u: ArrayLike, tol: float = PARITY_TOL) -> bool:
     if np.any(u < -tol) or np.any(u > 1.0 + tol):
         return False
     s = min(max(float(u.sum()), 0.0), float(d))
-    r = _snapped_parity(s)
+    # Snap sums that sit a rounding error below an even integer.
+    r = even_floor(s + PARITY_TOL)
     alpha = min(max((2.0 + r - s) / 2.0, 0.0), 1.0)
     if r + 2 > d and alpha < 1.0 - tol:
         # The upper slice does not exist; only an exactly-even total works.
@@ -69,15 +65,6 @@ class ProjectionWorkspace:
     v_sorted: NDArray[np.float64] | None = None
     r: int = 0
     beta_opt: float = 0.0
-
-
-def _check_input(u: ArrayLike) -> NDArray[np.float64]:
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 1 or u.size == 0:
-        raise ValueError("projection expects a non-empty 1-D vector")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("projection input must be finite")
-    return u
 
 
 def _line_values(
@@ -115,7 +102,11 @@ def project_parity_polytope(
     every breakpoint of the active set and interpolating on the crossing
     segment.  Cost is one sort plus linear passes, O(d log d).
     """
-    u = _check_input(u)
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 1 or u.size == 0:
+        raise ValueError("projection expects a non-empty 1-D vector")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("projection input must be finite")
     d = u.size
     perm = np.argsort(-u, kind="stable")
     v = u[perm]
@@ -169,10 +160,11 @@ def project_batch(values: ArrayLike) -> NDArray[np.float64]:
     Zhang and Siegel: the odd-set facet that the hypercube projection
     ``z_hat`` violates most is ``theta = (z_hat > 1/2)``, with its parity
     fixed at the coordinate nearest 1/2, and a row that satisfies it with
-    no tolerance returns ``z_hat`` unchanged.  Only the other rows are
-    sorted, and their ``beta_opt`` is the sort-based simplex threshold of
-    Duchi et al.: the minimum over k of ``(1 + S_k) / k``, where ``S_k``
-    sums the k smallest ramp starts, so no search runs.  Scratch memory is
+    no tolerance returns ``z_hat`` unchanged.  Any other row violates
+    ``theta``, so ``theta`` is the facet ``f_r`` of its projection, and its
+    ``beta_opt`` is the sort-based simplex threshold of Duchi et al.: the
+    minimum over k of ``(1 + S_k) / k``, where ``S_k`` sums the k smallest
+    ramp starts, so one sort and no search run.  Scratch memory is
     O(m * d).  The input is left unchanged, and each row of the result
     is the same, bit for bit, whatever the batch around it.
     """
@@ -194,55 +186,37 @@ def project_batch(values: ArrayLike) -> NDArray[np.float64]:
     # the parity fix when |theta| is even.
     cost = np.minimum(cols, 1.0 - cols)
     odd = np.logical_xor.reduce(cols > 0.5, axis=0)
-    slack = _sum_down(cost) - 1.0 + np.where(odd, 0.0, 1.0 - 2.0 * cost.max(axis=0))
+    # numpy sums the columns of a (d, m) array with m >= 2 first row to
+    # last, but a lone column pairwise once d >= 8; one fixed order keeps
+    # each row's projection independent of the batch.
+    total = np.cumsum(cost, axis=0)[-1] if cols.shape[1] == 1 else cost.sum(axis=0)
+    slack = total - 1.0 + np.where(odd, 0.0, 1.0 - 2.0 * cost.max(axis=0))
     bad = np.flatnonzero(slack < 0.0)
     if bad.size == 0:
         return out
 
     v = vals[bad]
-    r = 2 * (_sum_down(cols)[bad] // 2).astype(np.intp)
-    asc = np.sort(v, axis=1)
-    # r <= d - 1 here: a row with r = d is the all-ones vertex, which
-    # passes the cut test.  f_r is +1 on the r + 1 largest entries, the
-    # last of them v_r, and -1 on the rest.
-    top = d - 1 - r
-    v_r = asc[np.arange(bad.size), top]
-    sign = np.where(v >= v_r[:, None], 1.0, -1.0)
-
-    # g(beta) = f_r . clip(v - beta * f_r, 0, 1) equals r + 1 minus a sum
-    # of unit ramps clip(beta - s_i, 0, 1).  The first ramp saturates at
-    # min(s) + 1, where the sum already reaches 1, so the root g = r is
-    # the root of h(beta) = sum_i (beta - s_i)_+ = 1.  With the starts
-    # sorted and S_k their prefix sums, every c_k = (1 + S_k) / k has
-    # h(c_k) >= k c_k - S_k = 1, so c_k is at or above the root, and c_k
-    # of the active prefix is the root: beta = min_k c_k.  The starts
-    # take f_r by sorted position, so it has r + 1 entries of +1 even
-    # when v_r is tied.  A tie makes f_r and the facet that swaps the tied
-    # entries equally violated, and at most one odd-set facet is, so then
-    # beta is 0 to rounding and ``sign``'s side of the tie does not matter.
-    k = np.arange(1, d + 1)
-    starts = np.sort(np.where(k > top[:, None], asc - 1.0, -asc), axis=1)
+    theta = v > 0.5
+    even = np.flatnonzero(~odd[bad])
+    theta[even, cost[:, bad[even]].argmax(axis=0)] ^= True
+    # On f_r (+1 on theta, -1 off it) the line value is |theta| minus unit
+    # ramps clip(beta - s_i, 0, 1), s_i = v_i - 1 on theta and -v_i off it.
+    # The first ramp saturates where their sum already reaches 1, so the
+    # root at |theta| - 1 is that of h(beta) = sum_i (beta - s_i)_+ = 1.
+    # With S_k the sum of the k smallest starts, c_k = (1 + S_k) / k has
+    # h(c_k) >= k c_k - S_k = 1, and c_k of the active prefix is the root:
+    # beta = min_k c_k.
+    starts = np.where(theta, v - 1.0, -v)
+    starts.sort(axis=1)
     # c_k and their minimum run down the columns of a (d, rows) copy.
     c = starts.T.copy()
     np.cumsum(c, axis=0, out=c)
     c += 1.0
-    c /= k[:, None]
-    beta = np.maximum(c.min(axis=0), 0.0)
-    z = v - beta[:, None] * sign
+    c /= np.arange(1, d + 1)[:, None]
+    beta = np.maximum(c.min(axis=0), 0.0)[:, None]
+    z = v - np.where(theta, beta, -beta)
     out[bad] = np.minimum(np.maximum(z, 0.0), 1.0)
     return out
-
-
-def _sum_down(cols: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Column sums of a (d, m) array, adding its rows first to last.
-
-    numpy reduces the outer axis of a (d, m) array with m >= 2 in this
-    order, but sums a single column pairwise once d >= 8.  One fixed
-    order keeps each row's projection independent of the batch.
-    """
-    if cols.shape[1] == 1:
-        return np.cumsum(cols, axis=0)[-1]
-    return cols.sum(axis=0)
 
 
 def maximize_linear(c: ArrayLike) -> NDArray[np.int8]:

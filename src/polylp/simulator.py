@@ -26,7 +26,7 @@ from numpy.typing import ArrayLike, NDArray
 from .admm_decoder import AdmmConfig, DecodeOutput, decode
 from .bp_decoder import BpConfig, decode_bp
 from .channels import ChannelModel, llr, transmit
-from .codes import ParityCheckMatrix, is_codeword
+from .codes import ParityCheckMatrix, check_integer, is_codeword
 from .dual_ascent import DualAscentConfig, decode_dual_ascent
 
 CSV_COLUMNS = [
@@ -195,10 +195,7 @@ def check_run_args(
     budget = ("n_trials", n_trials) if n_trials is not None else ("target_errors", target_errors)
     for name, value, least in ((*budget, 1), ("max_trials", max_trials, 1), ("workers", workers, 1),
                                ("seed", seed, 0), ("point_index", point_index, 0)):
-        if not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < least:
-            raise ValueError(f"{name} must be at least {least}, got {value}")
+        check_integer(name, value, least)
 
 
 def run_point(

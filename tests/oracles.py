@@ -2,7 +2,8 @@
 
 Everything here is brute force, a scalar loop, or delegates to a generic
 solver: vertex enumeration, a hull-projection QP with an optimality
-certificate, the incremental breakpoint march, GF(2) codebook
+certificate, the incremental breakpoint march, the batch projection
+that finds its facet by sorted position, GF(2) codebook
 enumeration, exhaustive marginalization, the decoding LP solved over
 the explicit facet description, per-check loopy belief propagation, the
 per-check loop that builds a code's neighborhoods, and the line-by-line
@@ -128,6 +129,43 @@ def project_breakpoint_march(u: np.ndarray) -> np.ndarray:
 
     out = np.empty(d)
     out[perm] = z_sorted
+    return out
+
+
+def project_batch_two_sort(values: np.ndarray) -> np.ndarray:
+    """Row-wise projection with Barman et al.'s facet f_r, found by
+    sorted position, and two sorts per failing row.
+
+    Rows that pass the cut test come back as ``z_hat``; each other row is
+    sorted to find r = even_floor(sum z_hat) and its (r+1)-th largest
+    entry v_r, and f_r is +1 on ``v >= v_r``.  Then its ramp starts are
+    sorted and thresholded as ``project_batch`` does.  Sums add a row's
+    entries first to last, as the package does, so a row whose facet has
+    no tie at v_r gets the package's bits.
+    """
+    vals = np.asarray(values, dtype=float)
+    d = vals.shape[1]
+    if d == 1:
+        return np.zeros(vals.shape)
+    out = np.minimum(np.maximum(vals, 0.0), 1.0)
+    cols = out.T.copy()
+    cost = np.minimum(cols, 1.0 - cols)
+    odd = np.logical_xor.reduce(cols > 0.5, axis=0)
+    slack = np.cumsum(cost, axis=0)[-1] - 1.0 + np.where(odd, 0.0, 1.0 - 2.0 * cost.max(axis=0))
+    bad = np.flatnonzero(slack < 0.0)
+    if bad.size == 0:
+        return out
+    v = vals[bad]
+    r = 2 * (np.cumsum(cols, axis=0)[-1][bad] // 2).astype(np.intp)
+    asc = np.sort(v, axis=1)
+    top = d - 1 - r
+    v_r = asc[np.arange(bad.size), top]
+    sign = np.where(v >= v_r[:, None], 1.0, -1.0)
+    k = np.arange(1, d + 1)
+    starts = np.sort(np.where(k > top[:, None], asc - 1.0, -asc), axis=1)
+    c = (1.0 + np.cumsum(starts.T, axis=0)) / k[:, None]
+    beta = np.maximum(c.min(axis=0), 0.0)
+    out[bad] = np.minimum(np.maximum(v - beta[:, None] * sign, 0.0), 1.0)
     return out
 
 

@@ -43,6 +43,14 @@ class TestGenCode:
         assert res.returncode == 1
         assert "divisible" in res.stderr
 
+    def test_negative_seed_is_usage_error(self, tmp_path):
+        out = tmp_path / "code.alist"
+        res = run_cli("gen-code", "--n", "24", "--dv", "3", "--dc", "6",
+                      "--seed", "-1", "--out", str(out))
+        assert res.returncode == 1
+        assert "--seed must be at least 0, got -1" in res.stderr
+        assert not out.exists()
+
     def test_ensemble_scale_code(self, tmp_path):
         out = tmp_path / "big.alist"
         res = run_cli("gen-code", "--n", "1002", "--dv", "3", "--dc", "6",

@@ -343,6 +343,31 @@ class TestParityCheckMatrix:
         with pytest.raises(ValueError, match="check 0 has a parallel edge"):
             blank.__setstate__((3, np.array([1, 1, 0, 2]), np.array([0, 2, 4])))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: parse_alist(FIXTURE_ALIST),
+            lambda: parse_alist(emit_alist(gen_regular_ldpc(60, 3, 6, seed=0))),
+            lambda: parse_alist(emit_alist(interleaved_code(20, 12, seed=1))),
+            lambda: gen_regular_ldpc(6, 3, 6, seed=1),
+            lambda: gen_regular_ldpc(96, 3, 6, seed=42),
+            lambda: gen_regular_ldpc(48, 3, 4, seed=0),
+            lambda: ParityCheckMatrix.from_dense([[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 1]]),
+        ],
+        ids=["fixture", "parsed-regular", "parsed-interleaved", "tiny", "regular",
+             "regular-3-4", "dense"],
+    )
+    def test_codes_built_from_csr_equal_the_constructors(self, build):
+        # Parsing, generation and from_dense hand the constructor's checks
+        # a CSR pair they already sorted; it must be the one the
+        # constructor builds from the checks in any order.
+        code = build()
+        rng = np.random.default_rng(0)
+        want = ParityCheckMatrix(code.n_vars, [rng.permutation(nb) for nb in code.check_neighborhoods])
+        assert code == want and code.n_checks == want.n_checks
+        for got in (code.edge_var, code.check_ptr):
+            assert got.dtype == np.int64 and not got.flags.writeable
+
     def test_dense_round_trip(self):
         h = np.array([[1, 1, 0], [0, 1, 1]])
         assert np.array_equal(ParityCheckMatrix.from_dense(h).to_dense(), h)
@@ -441,6 +466,17 @@ class TestGenRegular:
     def test_handshake_identity(self):
         code = gen_regular_ldpc(120, 3, 6, seed=7)
         assert code.var_degrees.sum() == code.check_degrees.sum() == 120 * 3
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(-1, "seed must be at least 0, got -1"), (2.5, "seed must be an integer, got 2.5"),
+         (None, "seed must be an integer, got None")],
+    )
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed, message):
+        # A negative seed used to fail inside numpy, naming neither the
+        # argument nor its value.
+        with pytest.raises(ValueError, match=message):
+            gen_regular_ldpc(24, 3, 6, seed)
 
     def test_generation_failure_bounded(self):
         # Degree-6 checks over 2 variables cannot avoid parallel edges.

@@ -4,7 +4,7 @@ Rows are drawn to be adversarial: ties at 0, 1/2 and 1, exact 0/1
 entries, constant rows, degrees 1 and 2, and entries near +-1e6 and far
 beyond.  Every property compares ``project_batch`` with an independent
 mechanism: membership, odd-set facet enumeration, the scalar breakpoint
-march, or the hull QP.
+march, the hull QP, or the kernel that finds its facet by sorted position.
 """
 
 import itertools
@@ -14,8 +14,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polylp import even_floor, membership, project_batch
-from oracles import even_weight_vertices, hull_project, project_breakpoint_march
+import polylp.admm_decoder
+from polylp import Awgn, Bsc, decode, even_floor, gen_regular_ldpc, llr, membership, project_batch
+from polylp.channels import transmit
+from oracles import (
+    even_weight_vertices,
+    hull_project,
+    interleaved_code,
+    project_batch_two_sort,
+    project_breakpoint_march,
+)
 
 # Fixed examples and no example database, so every run tries the same rows.
 FIXED = settings(derandomize=True, database=None, deadline=None)
@@ -299,3 +307,95 @@ def test_every_ramp_active():
             assert np.all(starts.max(axis=1) < beta)
             expected = np.clip(values - beta[:, None] * sign, 0.0, 1.0)
             assert np.abs(z - expected).max() <= 1e-9
+
+
+def facet_tie(values):
+    """Rows whose (r+1)-th largest entry ties the next one, r the even
+    floor of the clipped row's sum: their facet f_r by sorted position is
+    one of two equally violated ones, so the row is on a facet (any
+    violation is rounding) and either side of the tie may take the +1."""
+    r = 2 * (np.cumsum(np.clip(values, 0.0, 1.0), axis=1)[:, -1] // 2).astype(np.intp)
+    desc = np.pad(-np.sort(-values, axis=1), ((0, 0), (0, 1)), constant_values=np.nan)
+    rows = np.arange(len(values))
+    r = np.minimum(r, values.shape[1] - 1)
+    return desc[rows, r] == desc[rows, r + 1]
+
+
+def cut_test_facet(u):
+    """The facet the cut test names: the entries above 1/2, with the entry
+    nearest 1/2 (first on a tie) flipped when their count is even."""
+    z_hat = np.clip(u, 0.0, 1.0)
+    theta = z_hat > 0.5
+    if theta.sum() % 2 == 0:
+        theta[np.argmax(np.minimum(z_hat, 1.0 - z_hat))] ^= True
+    return theta
+
+
+def assert_matches_two_sort(values):
+    """project_batch equals the two-sort kernel bit for bit, except on rows
+    with a tie at the facet's edge, which may differ by a few units in the
+    last place; and on every row the projection moved, without such a tie,
+    the cut test's facet is the top r + 1 entries."""
+    z = project_batch(values)
+    ref = project_batch_two_sort(values)
+    tie = facet_tie(values)
+    assert np.array_equal(z[~tie], ref[~tie])
+    ulps = 8.0 * np.finfo(float).eps * (1.0 + np.abs(values[tie]).max(axis=1, initial=0.0))
+    assert np.all(np.abs(z[tie] - ref[tie]).max(axis=1, initial=0.0) <= ulps)
+    moved = ~tie & np.any(z != np.clip(values, 0.0, 1.0), axis=1)
+    for u in values[moved]:
+        r = even_floor(float(np.cumsum(np.clip(u, 0.0, 1.0))[-1]))
+        assert np.array_equal(cut_test_facet(u), u >= np.sort(u)[::-1][r])
+    return int(moved.sum())
+
+
+def test_matches_two_sort_on_the_batch_families():
+    # The families of test_batch_equals_single.
+    rng = np.random.default_rng(3)
+    moved = 0
+    for d in [*range(1, 11), 20, 32, 64]:
+        odd = rng.integers(0, 2, size=(100, d))
+        odd[:, 0] ^= 1 - odd.sum(axis=1) % 2  # odd-weight vertices
+        mats = np.concatenate(
+            [
+                rng.uniform(-2, 3, size=(300, d)),
+                rng.integers(-1, 3, size=(100, d)).astype(float),
+                np.round(rng.uniform(-1, 2, size=(100, d)) * 4) / 4,
+                odd + rng.normal(0.0, 0.5 / d, size=(100, d)),
+                np.where(rng.random((100, d)) < 0.3, 1e6, 1.0)
+                * rng.uniform(-1, 1, size=(100, d)),
+            ]
+        )
+        moved += assert_matches_two_sort(mats)
+    assert moved > 3000
+
+
+@settings(FIXED, max_examples=400)
+@given(rows(st.one_of(SPECIAL, MODERATE, NEAR_1E6, ONE_DECIMAL), 12))
+def test_matches_two_sort_on_single_rows(u):
+    assert_matches_two_sort(u[None, :])
+
+
+@settings(FIXED, max_examples=300)
+@given(batches(32, 20))
+def test_matches_two_sort_on_batches(values):
+    assert_matches_two_sort(values)
+
+
+def test_matches_two_sort_on_admm_iterates(monkeypatch):
+    # The projection inputs of seeded decodes: BSC and AWGN frames on a
+    # (3,6) code, and BSC frames on a code of check degrees 3, 4 and 5.
+    seen = []
+
+    def recording(v):
+        seen.append(np.array(v))
+        return project_batch(v)
+
+    monkeypatch.setattr(polylp.admm_decoder, "project_batch", recording)
+    for code, channel in ((gen_regular_ldpc(96, 3, 6, seed=7), Bsc(0.04)),
+                          (gen_regular_ldpc(96, 3, 6, seed=7), Awgn(2.0, 0.5)),
+                          (interleaved_code(40, 24, seed=2), Bsc(0.05))):
+        for frame in range(6):
+            received = transmit(np.zeros(code.n_vars, dtype=np.uint8), channel, frame)
+            decode(llr(received, channel), code)
+    assert sum(assert_matches_two_sort(v) for v in seen) > 1000
