@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .codes import ParityCheckMatrix, check_llrs, is_codeword
+from .codes import ParityCheckMatrix, check_integer, check_llrs, check_positive, is_codeword
 from .parity_polytope import project_batch
 
 # An iterate further than this from {0, 1} in any coordinate is fractional.
@@ -36,13 +36,9 @@ class AdmmConfig:
     rho: float = 1.9
 
     def __post_init__(self) -> None:
-        # Written so that nan fails each test.
-        if not 0.0 < self.mu < np.inf:
-            raise ValueError("mu must be positive and finite")
-        if not 0.0 < self.epsilon < np.inf:
-            raise ValueError("epsilon must be positive and finite")
-        if not isinstance(self.t_max, (int, np.integer)) or self.t_max < 1:
-            raise ValueError("t_max must be at least 1 and an integer")
+        check_positive("mu", self.mu)
+        check_positive("epsilon", self.epsilon)
+        check_integer("t_max", self.t_max, 1)
         if not (1.0 <= self.rho < 2.0):
             raise ValueError("rho must be in [1, 2)")
 

@@ -14,7 +14,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .admm_decoder import INTEGRALITY_TOL, DecodeOutput, STATUS_CONVERGED, STATUS_MAX_ITERS
-from .codes import ParityCheckMatrix, check_llrs, is_codeword
+from .codes import ParityCheckMatrix, check_integer, check_llrs, check_positive, is_codeword
 
 _ATANH_GUARD = 1.0 - 1e-15
 
@@ -28,10 +28,8 @@ class BpConfig:
     early_stop: bool = True
 
     def __post_init__(self) -> None:
-        if not isinstance(self.t_max, (int, np.integer)) or self.t_max < 1:
-            raise ValueError("t_max must be at least 1 and an integer")
-        if not 0.0 < self.llr_clip < np.inf:
-            raise ValueError("llr_clip must be positive and finite")
+        check_integer("t_max", self.t_max, 1)
+        check_positive("llr_clip", self.llr_clip)
 
 
 def _leave_one_out_products(t: NDArray[np.float64]) -> NDArray[np.float64]:

@@ -169,8 +169,8 @@ def _decoder_ref(algo: str, args: argparse.Namespace) -> DecoderRef:
 
 def _flag_error(exc: ValueError) -> UsageError:
     """``exc`` as a usage error that names each argument by its flag."""
-    flags = {"n_trials": "--trials", "target_errors": "--target-errors",
-             "max_trials": "--max-trials", "seed": "--seed"}
+    flags = dict(n_trials="--trials", target_errors="--target-errors", max_trials="--max-trials",
+                 seed="--seed", n="--n", var_deg="--dv", check_deg="--dc")
     return UsageError(re.sub(r"\w+", lambda m: flags.get(m[0], m[0]), str(exc)))
 
 

@@ -1,8 +1,8 @@
 """Binary linear codes as sparse parity-check matrices.
 
-Provides the Tanner-graph view used by the decoders (per-check and
-per-variable neighborhoods), the alist text format, and a configuration
-model sampler for random regular LDPC ensembles.
+Provides the Tanner-graph view used by the decoders, the alist text
+format, and a configuration model sampler for random regular LDPC
+ensembles.
 """
 
 from __future__ import annotations
@@ -50,19 +50,23 @@ class ParityCheckMatrix:
 
     def _set_csr(self, n_vars: int, flat: ArrayLike, sizes: ArrayLike,
                  malformed: NDArray[np.int64] = np.arange(0)) -> None:
-        """Validate and store a CSR pair, edges sorted within each check;
-        ``malformed`` numbers later checks that are not 1-D integer arrays."""
+        """Validate and store a CSR pair, edges strictly increasing within each
+        check; ``malformed`` numbers later checks that are not 1-D integer arrays."""
         n_vars = operator.index(n_vars)
         if n_vars <= 0:
             raise ValueError("n_vars must be positive")
-        flat, sizes = np.asarray(flat, dtype=np.int64), np.asarray(sizes, dtype=np.int64)
+        flat, sizes = (np.asarray(a).astype(np.int64, casting="safe") for a in (flat, sizes))
         if sizes.size + malformed.size == 0:
             raise ValueError("need at least one check")
+        if sizes.sum() != flat.size:
+            raise ValueError("check pointers do not match the edges")
         check_of = np.repeat(np.arange(sizes.size), sizes)
+        step = np.where(np.diff(check_of) == 0, np.diff(flat), 1)
         fault = _first_fault(
             (np.flatnonzero(sizes == 0), "has no variables"),
             (check_of[(flat < 0) | (flat >= n_vars)], "has a variable index out of range"),
-            (check_of[1:][(np.diff(flat) == 0) & (np.diff(check_of) == 0)], "has a parallel edge"),
+            (check_of[1:][step == 0], "has a parallel edge"),
+            (check_of[1:][step < 0], "lists its variables out of order"),
             (malformed, "must be a 1-D array of integer variable indices"),
         )
         if fault:
@@ -204,14 +208,14 @@ class ParityCheckMatrix:
     def __repr__(self) -> str:
         return f"ParityCheckMatrix(n_vars={self.n_vars}, n_checks={self.n_checks})"
 
-    # Workers receive the CSR pair, which unpickling validates as the
-    # constructor does.
+    # Workers receive the CSR pair, which unpickling checks as it is: only a
+    # sorted pair unpickles.
     def __getstate__(self) -> tuple:
         return self.n_vars, self.edge_var, self.check_ptr
 
     def __setstate__(self, state: tuple) -> None:
         n_vars, edge_var, check_ptr = state
-        self.__init__(n_vars, _slices(edge_var, np.diff(check_ptr)))
+        self._set_csr(n_vars, edge_var, np.diff(check_ptr))
 
 
 def _index_array(nb: ArrayLike) -> NDArray | None:
@@ -237,11 +241,17 @@ def _slices(flat: NDArray | list[str], sizes: ArrayLike) -> tuple:
 
 
 def check_integer(name: str, value: object, least: int) -> None:
-    """Raise ``ValueError`` unless ``value`` is an integer of at least ``least``."""
-    if not isinstance(value, (int, np.integer)):
+    """Raise ``ValueError`` unless ``value`` is an integer, not a bool, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
+def check_positive(name: str, value: float) -> None:
+    """Raise ``ValueError`` unless ``value`` is positive and finite; nan fails."""
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def is_codeword(code: ParityCheckMatrix, x: ArrayLike) -> bool:
@@ -384,11 +394,11 @@ def gen_regular_ldpc(n: int, var_deg: int, check_deg: int, seed: int) -> ParityC
     edges are rejected and resampled, up to ``_GEN_ATTEMPTS`` times.  Short
     cycles other than parallel edges are kept.  Deterministic per seed.
     """
-    if n <= 0 or var_deg <= 0 or check_deg <= 0:
-        raise ValueError("code parameters must be positive")
+    for name, value, least in (("n", n, 1), ("var_deg", var_deg, 1), ("check_deg", check_deg, 1),
+                               ("seed", seed, 0)):
+        check_integer(name, value, least)
     if (n * var_deg) % check_deg != 0:
         raise ValueError("n * var_deg must be divisible by check_deg")
-    check_integer("seed", seed, 0)
     m = (n * var_deg) // check_deg
     rng = np.random.default_rng(seed)
     sockets = np.repeat(np.arange(n), var_deg)

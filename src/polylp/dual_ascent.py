@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .admm_decoder import DecodeOutput, STATUS_CONVERGED, STATUS_MAX_ITERS, make_output
-from .codes import ParityCheckMatrix, check_llrs
+from .codes import ParityCheckMatrix, check_integer, check_llrs, check_positive
 from .parity_polytope import maximize_linear_batch
 
 
@@ -27,10 +27,8 @@ class DualAscentConfig:
     t_max: int = 1000
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.step < np.inf:
-            raise ValueError("step must be positive and finite")
-        if not isinstance(self.t_max, (int, np.integer)) or self.t_max < 1:
-            raise ValueError("t_max must be at least 1 and an integer")
+        check_positive("step", self.step)
+        check_integer("t_max", self.t_max, 1)
 
 
 def decode_dual_ascent(

@@ -268,7 +268,7 @@ class TestDecodeProperties:
     def test_config_validation(self):
         # nan and inf fail too: nan used to pass every comparison.
         for name, values in [("mu", [0.0, np.nan, np.inf]), ("rho", [2.0, np.nan]),
-                             ("epsilon", [-1.0, np.nan, np.inf]), ("t_max", [0, 2.5])]:
+                             ("epsilon", [-1.0, np.nan, np.inf]), ("t_max", [0, 2.5, True])]:
             for value in values:
                 with pytest.raises(ValueError, match=name):
                     AdmmConfig(**{name: value})

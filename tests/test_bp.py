@@ -89,7 +89,7 @@ class TestBpDecoder:
         assert (out.hard_decision == (out.x > 0.5)).all()
 
     def test_config_validation(self):
-        for name, values in [("t_max", [0, 2.5]), ("llr_clip", [0.0, np.nan, np.inf])]:
+        for name, values in [("t_max", [0, 2.5, True]), ("llr_clip", [0.0, np.nan, np.inf])]:
             for value in values:
                 with pytest.raises(ValueError, match=name):
                     BpConfig(**{name: value})

@@ -43,6 +43,17 @@ class TestGenCode:
         assert res.returncode == 1
         assert "divisible" in res.stderr
 
+    @pytest.mark.parametrize("n, dv, dc, message", [
+        ("0", "3", "6", "--n must be at least 1, got 0"),
+        ("24", "0", "6", "--dv must be at least 1, got 0"),
+        ("24", "3", "-6", "--dc must be at least 1, got -6"),
+        ("10", "3", "7", "--n * --dv must be divisible by --dc"),
+    ])
+    def test_bad_sizes_are_named_by_their_flags(self, n, dv, dc, message):
+        res = run_cli("gen-code", "--n", n, "--dv", dv, "--dc", dc)
+        assert res.returncode == 1
+        assert message in res.stderr
+
     def test_negative_seed_is_usage_error(self, tmp_path):
         out = tmp_path / "code.alist"
         res = run_cli("gen-code", "--n", "24", "--dv", "3", "--dc", "6",

@@ -314,12 +314,22 @@ class TestParityCheckMatrix:
 
     @pytest.mark.parametrize(
         "code",
-        [gen_regular_ldpc(48, 3, 6, seed=3), interleaved_code(20, 12, seed=1)],
-        ids=["regular", "interleaved"],
+        [
+            gen_regular_ldpc(48, 3, 6, seed=3),
+            interleaved_code(20, 12, seed=1),
+            # Checks, and the variables within each, listed out of order.
+            ParityCheckMatrix(12, [[7, 2, 9], [11, 0, 5, 3], [4, 10, 1, 8], [6, 2, 0, 11]][::-1]),
+            parse_alist(emit_alist(gen_regular_ldpc(36, 3, 4, seed=4))),
+            ParityCheckMatrix.from_dense(
+                [[1, 1, 0, 1, 0, 0, 1], [0, 1, 1, 0, 0, 1, 1], [1, 0, 1, 1, 0, 1, 0]]
+            ),
+        ],
+        ids=["regular", "interleaved", "permuted", "parsed", "dense-zero-column"],
     )
     def test_pickle_round_trip_decodes_the_same(self, code):
         again = pickle.loads(pickle.dumps(code))
         assert again == code and again is not code
+        assert not again.edge_var.flags.writeable and not again.check_ptr.flags.writeable
         gammas = np.random.default_rng(5).normal(1.5, 1.5, size=(3, code.n_vars))
         for decoder in (decode, decode_bp, decode_dual_ascent):
             for gamma in gammas:
@@ -342,6 +352,31 @@ class TestParityCheckMatrix:
         blank = ParityCheckMatrix.__new__(ParityCheckMatrix)
         with pytest.raises(ValueError, match="check 0 has a parallel edge"):
             blank.__setstate__((3, np.array([1, 1, 0, 2]), np.array([0, 2, 4])))
+
+    @pytest.mark.parametrize(
+        "edge_var, check_ptr, message",
+        [
+            # The pointers used to cut the edges they cover and drop the rest.
+            ([0, 1, 1, 2, 2, 3], [0, 2, 4], "check pointers do not match the edges"),
+            ([0, 1, 1, 2, 2, 3], [0, 2, 8], "check pointers do not match the edges"),
+            ([0, 1, 1, 2, 2, 3], [0, 4, 2, 6], "negative"),
+            ([1, 0, 2, 3], [0, 2, 4], "check 0 lists its variables out of order"),
+            ([0, 1, 3, 2, 1], [0, 2, 5], "check 1 lists its variables out of order"),
+        ],
+        ids=["short", "long", "decreasing", "unsorted-check-0", "unsorted-check-1"],
+    )
+    def test_unpickling_takes_only_a_sorted_csr_pair(self, edge_var, check_ptr, message):
+        blank = ParityCheckMatrix.__new__(ParityCheckMatrix)
+        with pytest.raises(ValueError, match=message):
+            blank.__setstate__((4, np.array(edge_var), np.array(check_ptr)))
+
+    @pytest.mark.parametrize("edge_var, check_ptr", [([0.0, 1.5, 2.0, 3.0], [0, 2, 4]),
+                                                     ([0, 1, 2, 3], [0.0, 2.0, 4.0])])
+    def test_unpickling_refuses_a_pair_that_is_not_integer(self, edge_var, check_ptr):
+        # Cast to integers, 1.5 would become variable 1.
+        blank = ParityCheckMatrix.__new__(ParityCheckMatrix)
+        with pytest.raises(TypeError):
+            blank.__setstate__((4, np.array(edge_var), np.array(check_ptr)))
 
     @pytest.mark.parametrize(
         "build",
@@ -460,7 +495,19 @@ class TestGenRegular:
 
     @pytest.mark.parametrize("n, var_deg, check_deg", [(0, 3, 6), (-6, 3, 6), (6, 0, 6), (6, 3, -3)])
     def test_rejects_a_parameter_below_one(self, n, var_deg, check_deg):
-        with pytest.raises(ValueError, match="must be positive"):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            gen_regular_ldpc(n, var_deg, check_deg, seed=0)
+
+    @pytest.mark.parametrize(
+        "n, var_deg, check_deg, message",
+        [(24.0, 3, 6, "n must be an integer, got 24.0"),
+         (True, 3, 6, "n must be an integer, got True"),
+         (24, True, 6, "var_deg must be an integer, got True"),
+         (24, 3, 6.0, "check_deg must be an integer, got 6.0")],
+    )
+    def test_rejects_a_size_that_is_not_an_integer(self, n, var_deg, check_deg, message):
+        # A float length used to fail inside numpy, naming no argument.
+        with pytest.raises(ValueError, match=f"^{message}$"):
             gen_regular_ldpc(n, var_deg, check_deg, seed=0)
 
     def test_handshake_identity(self):
@@ -470,7 +517,7 @@ class TestGenRegular:
     @pytest.mark.parametrize(
         "seed, message",
         [(-1, "seed must be at least 0, got -1"), (2.5, "seed must be an integer, got 2.5"),
-         (None, "seed must be an integer, got None")],
+         (None, "seed must be an integer, got None"), (True, "seed must be an integer, got True")],
     )
     def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed, message):
         # A negative seed used to fail inside numpy, naming neither the

@@ -175,7 +175,16 @@ class TestRunPoint:
         ("workers", 1.5, "workers must be an integer, got 1.5"),
         ("seed", -1, "seed must be at least 0, got -1"),
         ("point_index", -1, "point_index must be at least 0, got -1"),
-    ], ids=["n_trials", "target_errors", "workers", "seed", "point_index"])
+        # bool is an int subclass, but not a count.
+        ("n_trials", True, "n_trials must be an integer, got True"),
+        ("target_errors", True, "target_errors must be an integer, got True"),
+        ("max_trials", True, "max_trials must be an integer, got True"),
+        ("workers", True, "workers must be an integer, got True"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("point_index", True, "point_index must be an integer, got True"),
+    ], ids=["n_trials", "target_errors", "workers", "seed", "point_index",
+            "n_trials-bool", "target_errors-bool", "max_trials-bool", "workers-bool",
+            "seed-bool", "point_index-bool"])
     def test_rejects_a_bad_run_argument_before_any_pool_or_trial(
         self, monkeypatch, workers, name, value, message
     ):
