@@ -7,7 +7,6 @@ dual-ascent baselines, channel models, and a seeded Monte-Carlo harness.
 
 from .admm_decoder import (
     AdmmConfig,
-    AdmmState,
     DecodeOutput,
     STATUS_CONVERGED,
     STATUS_MAX_ITERS,
@@ -27,8 +26,6 @@ from .codes import (
 from .dual_ascent import DualAscentConfig, decode_dual_ascent
 from .parity_polytope import (
     ProjectionWorkspace,
-    even_floor,
-    maximize_linear,
     maximize_linear_batch,
     membership,
     project_batch,
@@ -48,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmmConfig",
-    "AdmmState",
     "AlistParseError",
     "Awgn",
     "BpConfig",
@@ -68,11 +64,9 @@ __all__ = [
     "decode_bp",
     "decode_dual_ascent",
     "emit_alist",
-    "even_floor",
     "gen_regular_ldpc",
     "is_codeword",
     "llr",
-    "maximize_linear",
     "maximize_linear_batch",
     "membership",
     "ml_account",

@@ -1,17 +1,18 @@
 """ADMM solver for the relaxed decoding LP.
 
-Each iteration averages adjusted per-check replicas into the variable
-estimates, projects every check's over-relaxed replica onto the parity
-polytope, and takes a dual ascent step.  The duals are kept in the
-scaled form of Boyd et al. (2011, section 3.1.1), ``u = lambda / mu``,
-so the dual step is the difference between the projection's input and
-its output.  The iteration stops when the replicas have stopped moving
-and agree with the variables, both to a degree-normalized tolerance.
+``decode`` holds its iterates as edge-flat arrays in check order: the
+replicas ``z`` and the scaled duals ``u = lambda / mu`` of Boyd et al.
+(2011, section 3.1.1).  Each phase takes and returns arrays.  An
+iteration averages ``z - u`` into the variables (``x_update``), projects
+each check's over-relaxed mixture plus ``u``, the input ``v``, onto the
+parity polytope (``z_update``), and steps the duals to ``v - z``
+(``lambda_update``).  It stops when the replicas have stopped moving and
+agree with the variables, both to a degree-normalized tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -41,37 +42,6 @@ class AdmmConfig:
         check_integer("t_max", self.t_max, 1)
         if not (1.0 <= self.rho < 2.0):
             raise ValueError("rho must be in [1, 2)")
-
-
-@dataclass
-class AdmmState:
-    """Iterates of one decode: variables, replicas, and scaled duals.
-
-    Replicas and duals are stored edge-flat in check order; the slice for
-    check ``j`` is ``code.check_slice(j)``.  ``u`` is the scaled dual
-    ``lambda / mu`` of the consensus constraints.  The replica update
-    leaves ``x_edges``, the variables gathered onto the edges, for the
-    stopping rule, and ``v``, the projection input (the over-relaxed
-    consensus mixture plus ``u``), for the dual update.
-    """
-
-    x: NDArray[np.float64]
-    z: NDArray[np.float64]
-    u: NDArray[np.float64]
-    z_prev: NDArray[np.float64]
-    x_edges: NDArray[np.float64] = field(default_factory=lambda: np.empty(0))
-    v: NDArray[np.float64] = field(default_factory=lambda: np.empty(0))
-    iterations: int = 0
-
-    @classmethod
-    def initial(cls, code: ParityCheckMatrix) -> "AdmmState":
-        e = code.n_edges
-        return cls(
-            x=np.zeros(code.n_vars),
-            z=np.zeros(e),
-            u=np.zeros(e),
-            z_prev=np.zeros(e),
-        )
 
 
 @dataclass(frozen=True)
@@ -110,45 +80,42 @@ def make_output(
 
 
 def x_update(
-    state: AdmmState,
+    z: NDArray[np.float64],
+    u: NDArray[np.float64],
     code: ParityCheckMatrix,
     gamma: NDArray[np.float64],
     config: AdmmConfig,
 ) -> NDArray[np.float64]:
     """Average the dual-adjusted replicas, step against the LLRs, clamp."""
-    acc = np.bincount(code.edge_var, weights=state.z - state.u, minlength=code.n_vars)
+    acc = np.bincount(code.edge_var, weights=z - u, minlength=code.n_vars)
     x = np.minimum(np.maximum((acc - gamma / config.mu) / code.var_divisor, 0.0), 1.0)
     free = code.isolated_vars
     if free.size:
         # Unconstrained variables take the minimizer of their cost term.
         x[free] = gamma[free] < 0.0
-    state.x = x
-    return state.x
+    return x
 
 
 def z_update(
-    state: AdmmState, code: ParityCheckMatrix, config: AdmmConfig
-) -> NDArray[np.float64]:
-    """Project each check's over-relaxed replica target onto the polytope."""
-    state.x_edges = state.x[code.edge_var]
-    v = config.rho * state.x_edges + (1.0 - config.rho) * state.z
-    v += state.u
+    x_edges: NDArray[np.float64],
+    z: NDArray[np.float64],
+    u: NDArray[np.float64],
+    code: ParityCheckMatrix,
+    config: AdmmConfig,
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Project each check's over-relaxed replica target onto the polytope;
+    returns the projection input ``v`` and the new replicas."""
+    v = config.rho * x_edges + (1.0 - config.rho) * z
+    v += u
     # project_batch is looked up here on every call, so a wrapper put on
     # this module's name sees each projection.
-    z_new = code.map_checks(project_batch, v)
-    state.z_prev = state.z
-    state.v = v
-    state.z = z_new
-    return z_new
+    return v, code.map_checks(project_batch, v)
 
 
-def lambda_update(
-    state: AdmmState, code: ParityCheckMatrix, config: AdmmConfig
-) -> NDArray[np.float64]:
+def lambda_update(v: NDArray[np.float64], z: NDArray[np.float64]) -> NDArray[np.float64]:
     """Scaled dual step against the residual of the mixture the replicas
     saw: ``u + (mixture - z)``, which is ``v - z``."""
-    state.u = state.v - state.z
-    return state.u
+    return v - z
 
 
 def decode(
@@ -164,20 +131,22 @@ def decode(
     computed once the movement is below it.
     """
     gamma = check_llrs(code, gamma)
-    state = AdmmState.initial(code)
+    # No step writes its inputs, so the replicas and duals can share zeros.
+    z = u = np.zeros(code.n_edges)
     threshold = config.epsilon**2 * code.n_edges
     status = STATUS_MAX_ITERS
     for t in range(1, config.t_max + 1):
-        x_update(state, code, gamma, config)
-        z_update(state, code, config)
-        dz = state.z - state.z_prev
+        x = x_update(z, u, code, gamma, config)
+        x_edges = x[code.edge_var]
+        v, z_new = z_update(x_edges, z, u, code, config)
+        dz = z_new - z
         settled = float(dz @ dz) < threshold
         if settled:
-            r = state.x_edges - state.z
+            r = x_edges - z_new
             settled = float(r @ r) < threshold
-        lambda_update(state, code, config)
-        state.iterations = t
+        u = lambda_update(v, z_new)
+        z = z_new
         if settled:
             status = STATUS_CONVERGED
             break
-    return make_output(state.x, status, state.iterations, code)
+    return make_output(x, status, t, code)

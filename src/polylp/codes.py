@@ -26,16 +26,16 @@ class CodeGenerationError(RuntimeError):
 
 
 class ParityCheckMatrix:
-    """Sparse M x N parity-check matrix with neighborhood queries.
+    """Sparse M x N parity-check matrix with degree and edge-group queries.
 
     Checks and variables are 0-based internally.  The matrix is stored as
     one read-only CSR pair: ``edge_var`` lists the variable of each edge,
     edges grouped by check and sorted within it, and the edges of check
-    ``j`` are ``check_ptr[j]:check_ptr[j+1]``.  ``check_neighborhoods[j]``
-    is that slice of ``edge_var``; selecting those entries of a length-N
-    vector realizes the check's gather operator, and the per-variable
-    neighborhoods realize its transpose.  Instances are immutable after
-    construction and safe to share across workers.
+    ``j`` are ``check_ptr[j]:check_ptr[j+1]``.  Selecting the entries
+    ``edge_var`` names from a length-N vector realizes the checks' gather
+    operator, and summing onto the variables realizes its transpose.
+    Instances are immutable after construction and safe to share across
+    workers.
     """
 
     def __init__(self, n_vars: int, check_neighborhoods: list[ArrayLike]):
@@ -100,20 +100,12 @@ class ParityCheckMatrix:
         return h
 
     @cached_property
-    def check_neighborhoods(self) -> tuple[NDArray[np.int64], ...]:
-        return _slices(self.edge_var, self.check_degrees)
-
-    @cached_property
     def _var_checks(self) -> NDArray[np.int64]:
         """Check index of each edge, edges grouped by variable in check order."""
         by_var = np.argsort(self.edge_var, kind="stable")
         checks = np.repeat(np.arange(self.n_checks), self.check_degrees)[by_var]
         checks.flags.writeable = False
         return checks
-
-    @cached_property
-    def var_neighborhoods(self) -> tuple[NDArray[np.int64], ...]:
-        return _slices(self._var_checks, self.var_degrees)
 
     @cached_property
     def check_degrees(self) -> NDArray[np.int64]:
@@ -140,9 +132,6 @@ class ParityCheckMatrix:
     @property
     def n_edges(self) -> int:
         return self.edge_var.size
-
-    def check_slice(self, j: int) -> slice:
-        return slice(int(self.check_ptr[j]), int(self.check_ptr[j + 1]))
 
     @cached_property
     def checks_by_degree(self) -> dict[int, NDArray[np.int64]]:
@@ -215,6 +204,8 @@ class ParityCheckMatrix:
 
     def __setstate__(self, state: tuple) -> None:
         n_vars, edge_var, check_ptr = state
+        if np.ravel(check_ptr)[:1].any():
+            raise ValueError("check pointers do not match the edges")
         self._set_csr(n_vars, edge_var, np.diff(check_ptr))
 
 

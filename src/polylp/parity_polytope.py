@@ -219,17 +219,6 @@ def project_batch(values: ArrayLike) -> NDArray[np.float64]:
     return out
 
 
-def maximize_linear(c: ArrayLike) -> NDArray[np.int8]:
-    """Vertex of the parity polytope maximizing the linear cost ``c``.
-
-    A batch of one of :func:`maximize_linear_batch`.
-    """
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("maximize_linear expects a non-empty 1-D vector")
-    return maximize_linear_batch(c[None])[0]
-
-
 def maximize_linear_batch(costs: ArrayLike) -> NDArray[np.int8]:
     """Row-wise parity-polytope vertex maximizing each row of an (m, d)
     cost array.

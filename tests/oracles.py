@@ -18,7 +18,7 @@ import math
 import numpy as np
 from scipy.optimize import linprog, nnls
 
-from polylp import AlistParseError, ParityCheckMatrix
+from polylp import AlistParseError, ParityCheckMatrix, maximize_linear_batch
 
 
 def even_weight_vertices(d: int) -> np.ndarray:
@@ -194,6 +194,28 @@ def maximize_linear_scalar(c: np.ndarray) -> np.ndarray:
     return np.array(z, dtype=np.int8)
 
 
+def maximize_linear(c: np.ndarray) -> np.ndarray:
+    """The library's vertex step on one cost vector: a batch of one."""
+    return maximize_linear_batch(np.asarray(c, dtype=float)[None])[0]
+
+
+def check_slice(code: ParityCheckMatrix, j: int) -> slice:
+    """The edges of check ``j``, ``check_ptr[j]:check_ptr[j+1]``."""
+    return slice(int(code.check_ptr[j]), int(code.check_ptr[j + 1]))
+
+
+def check_neighborhoods(code: ParityCheckMatrix) -> tuple[np.ndarray, ...]:
+    """The variables of each check: its slice of ``edge_var``, a view."""
+    return tuple(code.edge_var[check_slice(code, j)] for j in range(code.n_checks))
+
+
+def var_neighborhoods(code: ParityCheckMatrix) -> tuple[np.ndarray, ...]:
+    """The checks of each variable, in check order: consecutive views of
+    the code's by-variable edge order, which ``emit_alist`` writes."""
+    bounds = np.concatenate([[0], np.cumsum(code.var_degrees)])
+    return tuple(code._var_checks[a:b] for a, b in zip(bounds, bounds[1:]))
+
+
 def neighborhoods_by_loop(
     n_vars: int, check_neighborhoods: list
 ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
@@ -283,7 +305,7 @@ def exact_marginals(gamma: np.ndarray, code: ParityCheckMatrix) -> np.ndarray:
     n = code.n_vars
     xs = np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.uint8)
     ok = np.ones(len(xs), dtype=bool)
-    for nb in code.check_neighborhoods:
+    for nb in check_neighborhoods(code):
         ok &= xs[:, nb].sum(axis=1) % 2 == 0
     xs = xs[ok]
     w = np.exp(-(xs @ gamma))
@@ -304,7 +326,7 @@ def loopy_bp_by_check(
     the check-to-variable message at ``clip``.
     """
     guard = 1.0 - 1e-15
-    nbhds = code.check_neighborhoods
+    nbhds = check_neighborhoods(code)
     c2v = [np.zeros(len(nb)) for nb in nbhds]
     for _ in range(iterations):
         totals = np.array(gamma, dtype=float)
@@ -335,7 +357,7 @@ def fundamental_lp(gamma: np.ndarray, code: ParityCheckMatrix) -> tuple[float, n
     """
     n = code.n_vars
     rows, rhs = [], []
-    for nb in code.check_neighborhoods:
+    for nb in check_neighborhoods(code):
         d = len(nb)
         for mask in itertools.product((0, 1), repeat=d):
             if sum(mask) % 2 == 1:
@@ -384,7 +406,7 @@ def interleaved_code(n: int, m: int, seed: int, degrees: tuple[int, ...] = (3, 5
 def relabel_vars(code: ParityCheckMatrix, perm: np.ndarray) -> ParityCheckMatrix:
     """The same code with variable ``i`` renamed ``perm[i]``; a vector
     ``y`` of the original code is ``y2[perm] = y`` in the new one."""
-    return ParityCheckMatrix(code.n_vars, [perm[nb] for nb in code.check_neighborhoods])
+    return ParityCheckMatrix(code.n_vars, [perm[nb] for nb in check_neighborhoods(code)])
 
 
 def hamming_7_4() -> ParityCheckMatrix:

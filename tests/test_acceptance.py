@@ -22,7 +22,6 @@ from polylp import (
     gen_regular_ldpc,
     is_codeword,
     llr,
-    maximize_linear,
     membership,
     posterior_llrs,
     project_parity_polytope,
@@ -38,6 +37,7 @@ from oracles import (
     exact_marginals,
     hamming_7_4,
     hull_project,
+    maximize_linear,
     random_tree_code,
 )
 

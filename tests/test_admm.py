@@ -3,7 +3,6 @@ import pytest
 
 from polylp import (
     AdmmConfig,
-    AdmmState,
     ParityCheckMatrix,
     STATUS_CONVERGED,
     STATUS_MAX_ITERS,
@@ -17,82 +16,81 @@ from polylp import (
     membership,
 )
 from polylp.admm_decoder import INTEGRALITY_TOL, lambda_update, x_update, z_update
-from oracles import codebook, fundamental_lp, hamming_7_4, interleaved_code, relabel_vars
+from oracles import (
+    check_neighborhoods,
+    check_slice,
+    codebook,
+    fundamental_lp,
+    hamming_7_4,
+    interleaved_code,
+    relabel_vars,
+)
 
 SINGLE_CHECK = ParityCheckMatrix.from_dense([[1, 1, 1, 1]])
 
 
-def make_state(code):
-    return AdmmState.initial(code)
+def zeros(code):
+    return np.zeros(code.n_edges)
+
+
+# The variables [1, 1, 0, 0] gathered onto SINGLE_CHECK's edges.
+CODEWORD_EDGES = np.array([1.0, 1.0, 0.0, 0.0])[SINGLE_CHECK.edge_var]
 
 
 class TestUpdateSteps:
     def test_x_update_clamps_low(self):
         # Three checks on one variable, z = lam = 0, gamma = 6, mu = 3.
         code = ParityCheckMatrix.from_dense([[1, 1], [1, 1], [1, 1]])
-        state = make_state(code)
-        x = x_update(state, code, np.array([6.0, 6.0]), AdmmConfig(mu=3.0))
+        x = x_update(zeros(code), zeros(code), code, np.array([6.0, 6.0]), AdmmConfig(mu=3.0))
         assert np.all(x == 0.0)
 
     def test_x_update_clamps_high(self):
         code = ParityCheckMatrix.from_dense([[1, 1], [1, 1], [1, 1]])
-        state = make_state(code)
-        state.z = np.ones(code.n_edges)
-        x = x_update(state, code, np.array([-6.0, -6.0]), AdmmConfig(mu=3.0))
+        z = np.ones(code.n_edges)
+        x = x_update(z, zeros(code), code, np.array([-6.0, -6.0]), AdmmConfig(mu=3.0))
         assert np.all(x == 1.0)  # raw value 5/3 clamps to 1
 
     def test_x_update_fixed_point(self):
         code = ParityCheckMatrix.from_dense([[1, 1], [1, 1], [1, 1]])
-        state = make_state(code)
-        state.z = np.full(code.n_edges, 0.5)
-        x = x_update(state, code, np.zeros(2), AdmmConfig(mu=3.0))
+        z = np.full(code.n_edges, 0.5)
+        x = x_update(z, zeros(code), code, np.zeros(2), AdmmConfig(mu=3.0))
         assert np.allclose(x, 0.5)
 
     def test_z_update_member_is_fixed(self):
-        state = make_state(SINGLE_CHECK)
-        state.x = np.array([1.0, 1.0, 0.0, 0.0])
-        z = z_update(state, SINGLE_CHECK, AdmmConfig(rho=1.0))
+        zero = zeros(SINGLE_CHECK)
+        _, z = z_update(CODEWORD_EDGES, zero, zero, SINGLE_CHECK, AdmmConfig(rho=1.0))
         assert np.allclose(z, [1, 1, 0, 0], atol=1e-12)
 
     def test_z_update_projects(self):
         code = ParityCheckMatrix.from_dense([[1, 1, 1]])
-        state = make_state(code)
-        state.x = np.array([1.0, 0.0, 0.0])
-        z = z_update(state, code, AdmmConfig(rho=1.0))
+        x = np.array([1.0, 0.0, 0.0])
+        _, z = z_update(x[code.edge_var], zeros(code), zeros(code), code, AdmmConfig(rho=1.0))
         assert np.allclose(z, [2 / 3, 1 / 3, 1 / 3], atol=1e-9)
 
     def test_over_relaxation_inert_at_consensus(self):
-        state = make_state(SINGLE_CHECK)
-        state.x = np.array([1.0, 1.0, 0.0, 0.0])
-        state.z = state.x[SINGLE_CHECK.edge_var].copy()
-        z = z_update(state, SINGLE_CHECK, AdmmConfig(rho=1.9))
+        zero = zeros(SINGLE_CHECK)
+        _, z = z_update(CODEWORD_EDGES, CODEWORD_EDGES, zero, SINGLE_CHECK, AdmmConfig(rho=1.9))
         assert np.allclose(z, [1, 1, 0, 0], atol=1e-12)
 
     def test_lambda_zero_residual(self):
-        state = make_state(SINGLE_CHECK)
-        state.x = np.array([1.0, 1.0, 0.0, 0.0])
-        z_update(state, SINGLE_CHECK, AdmmConfig(rho=1.0))
-        u = lambda_update(state, SINGLE_CHECK, AdmmConfig(rho=1.0))
+        zero = zeros(SINGLE_CHECK)
+        v, z = z_update(CODEWORD_EDGES, zero, zero, SINGLE_CHECK, AdmmConfig(rho=1.0))
+        u = lambda_update(v, z)
         assert np.allclose(u, 0.0, atol=1e-12)
 
     def test_lambda_arithmetic(self):
-        code = ParityCheckMatrix.from_dense([[1, 1, 1]])
-        state = make_state(code)
         # With u = 0 the projection input v is the mixture itself, and the
         # unscaled dual lambda = mu * u moves by mu * (v - z).
         cfg = AdmmConfig(mu=3.0)
-        state.v = np.array([0.6, 0.4, 0.5])
-        state.z = np.array([0.5, 0.5, 0.5])
-        u = lambda_update(state, code, cfg)
+        u = lambda_update(np.array([0.6, 0.4, 0.5]), np.array([0.5, 0.5, 0.5]))
         assert np.allclose(cfg.mu * u, [0.3, -0.3, 0.0], atol=1e-12)
 
     def test_lambda_constant_across_consensus_iterations(self):
-        state = make_state(SINGLE_CHECK)
-        state.x = np.array([1.0, 1.0, 0.0, 0.0])
+        z = u = zeros(SINGLE_CHECK)
         cfg = AdmmConfig(rho=1.0)
         for _ in range(2):
-            z_update(state, SINGLE_CHECK, cfg)
-            u = lambda_update(state, SINGLE_CHECK, cfg)
+            v, z = z_update(CODEWORD_EDGES, z, u, SINGLE_CHECK, cfg)
+            u = lambda_update(v, z)
         assert np.allclose(u, 0.0, atol=1e-12)
 
 
@@ -171,26 +169,26 @@ class TestDecodeProperties:
         rng = np.random.default_rng(1)
         gamma = rng.normal(0.8, 1.0, 48)
         cfg = AdmmConfig()
-        state = AdmmState.initial(code)
+        z = u = zeros(code)
         threshold = cfg.epsilon**2 * code.n_edges
         for t in range(1, cfg.t_max + 1):
-            x_update(state, code, gamma, cfg)
-            z_update(state, code, cfg)
-            gathered = state.x[code.edge_var]
-            primal = float(((gathered - state.z) ** 2).sum())
-            moved = float(((state.z - state.z_prev) ** 2).sum())
-            lambda_update(state, code, cfg)
+            x = x_update(z, u, code, gamma, cfg)
+            gathered = x[code.edge_var]
+            v, z_new = z_update(gathered, z, u, code, cfg)
+            primal = float(((gathered - z_new) ** 2).sum())
+            moved = float(((z_new - z) ** 2).sum())
+            u, z = lambda_update(v, z_new), z_new
             if primal < threshold and moved < threshold:
                 break
         assert primal < threshold
         # decode applies the same two-part rule.
         out = decode(gamma, code, cfg)
-        assert out.iterations == t and np.array_equal(out.x, state.x)
+        assert out.iterations == t and np.array_equal(out.x, x)
         for j in range(code.n_checks):
-            sl = code.check_slice(j)
+            sl = check_slice(code, j)
             d = sl.stop - sl.start
-            assert membership(state.z[sl], 1e-5)
-            assert np.abs(gathered[sl] - state.z[sl]).max() <= 10 * cfg.epsilon * np.sqrt(d)
+            assert membership(z[sl], 1e-5)
+            assert np.abs(gathered[sl] - z[sl]).max() <= 10 * cfg.epsilon * np.sqrt(d)
 
     def test_ml_certificate_on_small_codes(self):
         rng = np.random.default_rng(2)
@@ -232,20 +230,17 @@ class TestDecodeProperties:
 
     def test_message_passing_form_matches_one_iteration(self):
         # One iteration written as variable/check messages with scaled
-        # duals reproduces one iteration of the state updates.
+        # duals reproduces one iteration of the phase functions.
         code = gen_regular_ldpc(18, 3, 6, seed=8)
         rng = np.random.default_rng(9)
         gamma = rng.normal(0.0, 1.0, 18)
         cfg = AdmmConfig(rho=1.0, mu=2.5)
 
-        state = AdmmState.initial(code)
-        state.z = rng.uniform(0, 1, code.n_edges)
+        z0 = rng.uniform(0, 1, code.n_edges)
         lam0 = rng.normal(0, 1, code.n_edges)
-        state.u = lam0 / cfg.mu
-        z0 = state.z.copy()
-        x_update(state, code, gamma, cfg)
-        z_update(state, code, cfg)
-        lambda_update(state, code, cfg)
+        x = x_update(z0, lam0 / cfg.mu, code, gamma, cfg)
+        v, z = z_update(x[code.edge_var], z0, lam0 / cfg.mu, code, cfg)
+        u = lambda_update(v, z)
 
         # Message form: lam' = lam/mu; variable messages average the
         # incoming check messages minus the scaled duals.
@@ -257,13 +252,13 @@ class TestDecodeProperties:
         m_check = np.empty(code.n_edges)
         lam_next = np.empty(code.n_edges)
         for j in range(code.n_checks):
-            sl = code.check_slice(j)
+            sl = check_slice(code, j)
             incoming = m_var[code.edge_var[sl]]
             m_check[sl] = project_parity_polytope(incoming + lam_s[sl])
             lam_next[sl] = lam_s[sl] + incoming - m_check[sl]
-        assert np.abs(m_var - state.x).max() <= 1e-12
-        assert np.abs(m_check - state.z).max() <= 1e-9
-        assert np.abs(lam_next * cfg.mu - state.u * cfg.mu).max() <= 1e-9
+        assert np.abs(m_var - x).max() <= 1e-12
+        assert np.abs(m_check - z).max() <= 1e-9
+        assert np.abs(lam_next * cfg.mu - u * cfg.mu).max() <= 1e-9
 
     def test_config_validation(self):
         # nan and inf fail too: nan used to pass every comparison.
@@ -288,20 +283,19 @@ class TestInterleavedDegrees:
         rng = np.random.default_rng(12)
         cfg = AdmmConfig()
         for _ in range(20):
-            state = make_state(code)
-            state.x = rng.uniform(0.0, 1.0, code.n_vars)
-            state.z = rng.uniform(-0.5, 1.5, code.n_edges)
-            state.u = rng.normal(0.0, 2.0, code.n_edges) / cfg.mu
-            v = cfg.rho * state.x[code.edge_var] + (1.0 - cfg.rho) * state.z + state.u
-            z = z_update(state, code, cfg)
+            x = rng.uniform(0.0, 1.0, code.n_vars)
+            z0 = rng.uniform(-0.5, 1.5, code.n_edges)
+            u = rng.normal(0.0, 2.0, code.n_edges) / cfg.mu
+            v = cfg.rho * x[code.edge_var] + (1.0 - cfg.rho) * z0 + u
+            _, z = z_update(x[code.edge_var], z0, u, code, cfg)
             for j in range(code.n_checks):
-                sl = code.check_slice(j)
+                sl = check_slice(code, j)
                 assert np.abs(z[sl] - project_parity_polytope(v[sl])).max() <= 1e-9
 
     def test_decode_invariant_under_check_permutation(self):
         code = self.CODE
         order = np.random.default_rng(13).permutation(code.n_checks)
-        shuffled = ParityCheckMatrix(code.n_vars, [code.check_neighborhoods[j] for j in order])
+        shuffled = ParityCheckMatrix(code.n_vars, [check_neighborhoods(code)[j] for j in order])
         rng = np.random.default_rng(14)
         statuses = set()
         for _ in range(20):
@@ -367,7 +361,7 @@ class TestDegenerateInputs:
 
     def test_degree_one_check_forces_its_variable_to_zero(self):
         # An extra check on variable 4 alone; its LLR favours 1 strongly.
-        code = ParityCheckMatrix(30, list(self.CODE.check_neighborhoods) + [[4]])
+        code = ParityCheckMatrix(30, list(check_neighborhoods(self.CODE)) + [[4]])
         rng = np.random.default_rng(3)
         certified = 0
         for _ in range(12):
@@ -384,7 +378,7 @@ class TestDegenerateInputs:
         # variables average one more replica), so only frames that end
         # integral are compared.
         code = self.CODE
-        doubled = ParityCheckMatrix(30, list(code.check_neighborhoods) + [code.check_neighborhoods[2]])
+        doubled = ParityCheckMatrix(30, list(check_neighborhoods(code)) + [check_neighborhoods(code)[2]])
         rng = np.random.default_rng(5)
         compared = 0
         for _ in range(30):

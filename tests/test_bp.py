@@ -14,6 +14,7 @@ from polylp import (
     posterior_llrs,
 )
 from oracles import (
+    check_neighborhoods,
     exact_marginals,
     interleaved_code,
     loopy_bp_by_check,
@@ -105,7 +106,7 @@ class TestBpDecoder:
         code = interleaved_code(24, 14, seed=5)
         assert len(code.checks_by_degree) > 1
         order = np.random.default_rng(3).permutation(code.n_checks)
-        shuffled = ParityCheckMatrix(code.n_vars, [code.check_neighborhoods[j] for j in order])
+        shuffled = ParityCheckMatrix(code.n_vars, [check_neighborhoods(code)[j] for j in order])
         rng = np.random.default_rng(4)
         cfg = BpConfig(t_max=20, early_stop=False)
         for _ in range(10):

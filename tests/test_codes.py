@@ -17,7 +17,15 @@ from polylp import (
     is_codeword,
     parse_alist,
 )
-from oracles import codebook, interleaved_code, neighborhoods_by_loop, parse_alist_reference
+from oracles import (
+    check_neighborhoods,
+    check_slice,
+    codebook,
+    interleaved_code,
+    neighborhoods_by_loop,
+    parse_alist_reference,
+    var_neighborhoods,
+)
 
 # H = [[1,1,0],[0,1,1]]: column degrees 1 2 1, row degrees 2 2.
 FIXTURE_ALIST = """\
@@ -202,9 +210,9 @@ class TestParseAlist:
     def test_fixture(self):
         code = parse_alist(FIXTURE_ALIST)
         assert (code.n_vars, code.n_checks) == (3, 2)
-        assert code.check_neighborhoods[0].tolist() == [0, 1]
-        assert code.check_neighborhoods[1].tolist() == [1, 2]
-        assert code.var_neighborhoods[1].tolist() == [0, 1]
+        assert check_neighborhoods(code)[0].tolist() == [0, 1]
+        assert check_neighborhoods(code)[1].tolist() == [1, 2]
+        assert var_neighborhoods(code)[1].tolist() == [0, 1]
 
     def test_round_trip_is_identity(self):
         assert emit_alist(parse_alist(FIXTURE_ALIST)) == FIXTURE_ALIST
@@ -241,12 +249,12 @@ class TestParseAlist:
 class TestParityCheckMatrix:
     def test_transpose_consistency(self):
         code = gen_regular_ldpc(60, 3, 6, seed=0)
-        for j, nbhd in enumerate(code.check_neighborhoods):
+        for j, nbhd in enumerate(check_neighborhoods(code)):
             for i in nbhd:
-                assert j in code.var_neighborhoods[i]
-        for i, nbhd in enumerate(code.var_neighborhoods):
+                assert j in var_neighborhoods(code)[i]
+        for i, nbhd in enumerate(var_neighborhoods(code)):
             for j in nbhd:
-                assert i in code.check_neighborhoods[j]
+                assert i in check_neighborhoods(code)[j]
 
     def test_rejects_parallel_edges(self):
         with pytest.raises(ValueError, match="parallel"):
@@ -305,7 +313,7 @@ class TestParityCheckMatrix:
             assert str(got.value) == str(exc)
             return
         code = ParityCheckMatrix(n_vars, nbhds)
-        for got, ref in zip((code.check_neighborhoods, code.var_neighborhoods), want):
+        for got, ref in zip((check_neighborhoods(code), var_neighborhoods(code)), want):
             assert len(got) == len(ref)
             for a, b in zip(got, ref):
                 assert a.dtype == b.dtype == np.int64
@@ -352,6 +360,9 @@ class TestParityCheckMatrix:
         blank = ParityCheckMatrix.__new__(ParityCheckMatrix)
         with pytest.raises(ValueError, match="check 0 has a parallel edge"):
             blank.__setstate__((3, np.array([1, 1, 0, 2]), np.array([0, 2, 4])))
+        for check_ptr in ([], [0]):
+            with pytest.raises(ValueError, match="need at least one check"):
+                blank.__setstate__((3, np.arange(0), np.array(check_ptr, dtype=np.int64)))
 
     @pytest.mark.parametrize(
         "edge_var, check_ptr, message",
@@ -362,8 +373,10 @@ class TestParityCheckMatrix:
             ([0, 1, 1, 2, 2, 3], [0, 4, 2, 6], "negative"),
             ([1, 0, 2, 3], [0, 2, 4], "check 0 lists its variables out of order"),
             ([0, 1, 3, 2, 1], [0, 2, 5], "check 1 lists its variables out of order"),
+            # The pointers must start at 0.
+            ([0, 1, 2, 3], [1, 3, 5], "check pointers do not match the edges"),
         ],
-        ids=["short", "long", "decreasing", "unsorted-check-0", "unsorted-check-1"],
+        ids=["short", "long", "decreasing", "unsorted-check-0", "unsorted-check-1", "offset"],
     )
     def test_unpickling_takes_only_a_sorted_csr_pair(self, edge_var, check_ptr, message):
         blank = ParityCheckMatrix.__new__(ParityCheckMatrix)
@@ -398,7 +411,7 @@ class TestParityCheckMatrix:
         # constructor builds from the checks in any order.
         code = build()
         rng = np.random.default_rng(0)
-        want = ParityCheckMatrix(code.n_vars, [rng.permutation(nb) for nb in code.check_neighborhoods])
+        want = ParityCheckMatrix(code.n_vars, [rng.permutation(nb) for nb in check_neighborhoods(code)])
         assert code == want and code.n_checks == want.n_checks
         for got in (code.edge_var, code.check_ptr):
             assert got.dtype == np.int64 and not got.flags.writeable
@@ -422,7 +435,7 @@ class TestParityCheckMatrix:
             v = np.arange(code.n_edges, dtype=float)
             for (d, rows), cols in zip(code.checks_by_degree.items(), code.check_columns):
                 js = np.flatnonzero(code.check_degrees == d)
-                assert np.array_equal(v[rows], [v[code.check_slice(j)] for j in js])
+                assert np.array_equal(v[rows], [v[check_slice(code, j)] for j in js])
                 assert np.array_equal(cols, code.edge_var[rows].T)
 
     @pytest.mark.parametrize(
@@ -433,7 +446,7 @@ class TestParityCheckMatrix:
             # Two degrees, each one's checks adjacent.
             ParityCheckMatrix(
                 20,
-                sorted(interleaved_code(20, 12, seed=1, degrees=(3, 5)).check_neighborhoods, key=len),
+                sorted(check_neighborhoods(interleaved_code(20, 12, seed=1, degrees=(3, 5))), key=len),
             ),
         ],
         ids=["regular", "interleaved", "degree-sorted"],
@@ -447,7 +460,7 @@ class TestParityCheckMatrix:
         got = code.map_checks(lambda t: np.cumsum(t, axis=1), v)
         want = np.empty_like(v)
         for j in range(code.n_checks):
-            sl = code.check_slice(j)
+            sl = check_slice(code, j)
             want[sl] = np.cumsum(v[sl])
         assert np.array_equal(got, want)
         assert np.array_equal(v, keep)

@@ -12,9 +12,8 @@ from polylp import (
     decode_dual_ascent,
     is_codeword,
     llr,
-    maximize_linear,
 )
-from oracles import hamming_7_4, interleaved_code, maximize_linear_scalar
+from oracles import check_slice, hamming_7_4, interleaved_code, maximize_linear, maximize_linear_scalar
 
 SINGLE_CHECK = ParityCheckMatrix.from_dense([[1, 1, 1, 1]])
 
@@ -109,7 +108,7 @@ def per_check_dual_ascent(gamma, code, config):
         x = ((-gamma - load) > 0.0).astype(float)
         z = np.empty(code.n_edges)
         for j in range(code.n_checks):
-            sl = code.check_slice(j)
+            sl = check_slice(code, j)
             z[sl] = maximize_linear_scalar(lam[sl])
         residual = x[ev] - z
         if not residual.any():

@@ -15,8 +15,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import polylp.admm_decoder
-from polylp import Awgn, Bsc, decode, even_floor, gen_regular_ldpc, llr, membership, project_batch
+from polylp import Awgn, Bsc, decode, gen_regular_ldpc, llr, membership, project_batch
 from polylp.channels import transmit
+from polylp.parity_polytope import even_floor
 from oracles import (
     even_weight_vertices,
     hull_project,

@@ -24,6 +24,7 @@ from polylp import (
 from polylp import simulator
 from polylp.admm_decoder import AdmmConfig, decode
 from polylp.bp_decoder import BpConfig
+from polylp.dual_ascent import DualAscentConfig
 from oracles import codebook, gf2_nullspace, hamming_7_4, interleaved_code
 
 ADMM = DecoderRef("admm")
@@ -353,3 +354,25 @@ class TestSweep:
         assert DecoderRef("admm").config == AdmmConfig()
         for algo, config_class in simulator.DECODERS.items():
             assert DecoderRef(algo) == DecoderRef(algo, config_class())
+
+
+# Pinned integer fields of seeded sweeps, so that a change that moves any
+# seeded output fails here.  Per point: trials, word, bit and ML errors, and
+# the iteration sums of correct and of erroneous frames.  A cap of 100
+# iterations keeps every decoder's failing frames cheap.
+GOLDEN_SWEEPS = {
+    "admm": (AdmmConfig(t_max=100), [(64, 4, 22, 0, 389, 400), (64, 19, 105, 0, 621, 1900)]),
+    "bp": (BpConfig(t_max=100), [(64, 5, 26, 0, 89, 500), (64, 20, 111, 0, 129, 1918)]),
+    "dual-ascent": (DualAscentConfig(t_max=100),
+                    [(64, 8, 29, 0, 2965, 800), (64, 27, 110, 0, 2742, 2700)]),
+}
+
+
+@pytest.mark.parametrize("algo", GOLDEN_SWEEPS)
+def test_seeded_sweeps_match_pinned_counts(algo):
+    config, want = GOLDEN_SWEEPS[algo]
+    code = gen_regular_ldpc(48, 3, 6, seed=1)
+    stats = sweep(code, [Bsc(0.03), Bsc(0.07)], DecoderRef(algo, config), n_trials=64, seed=5)
+    got = [(s.trials, s.word_errors, s.bit_errors, s.ml_errors, s.iter_sum_correct,
+            s.iter_sum_erroneous) for s in stats]
+    assert got == want
