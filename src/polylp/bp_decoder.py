@@ -70,10 +70,8 @@ def posterior_llrs(
     # Each iteration's variable totals are the last beliefs; the first
     # ones add zero messages, so -0.0 LLRs come in as 0.0.
     beliefs = gamma + 0.0
-    iterations = 0
     found = False
     for t in range(1, config.t_max + 1):
-        iterations = t
         v2c = np.clip(beliefs[ev] - c2v, -clip, clip)
         c2v = _check_node_update(v2c, code, clip)
         beliefs = gamma + np.bincount(ev, weights=c2v, minlength=code.n_vars)
@@ -85,7 +83,7 @@ def posterior_llrs(
         ):
             found = True
             break
-    return beliefs, iterations, found
+    return beliefs, t, found
 
 
 def decode_bp(

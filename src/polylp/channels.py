@@ -15,6 +15,8 @@ from typing import Union
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
+from .codes import check_integer
+
 
 @dataclass(frozen=True)
 class Bsc:
@@ -82,6 +84,8 @@ def transmit(
         raise ValueError("codeword must be a 1-D bit vector")
     if not ((bits == 0) | (bits == 1)).all():
         raise ValueError("codeword entries must be 0 or 1")
+    if not isinstance(seed, np.random.Generator):
+        check_integer("seed", seed, 0)
     # default_rng returns a Generator unaltered, so the caller's advances.
     rng = np.random.default_rng(seed)
     if isinstance(ch, Bsc):

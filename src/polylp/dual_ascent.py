@@ -47,9 +47,7 @@ def decode_dual_ascent(
     lam = np.zeros(code.n_edges)
     x = np.zeros(code.n_vars)
     status = STATUS_MAX_ITERS
-    iterations = 0
     for t in range(1, config.t_max + 1):
-        iterations = t
         dual_load = np.bincount(ev, weights=lam, minlength=code.n_vars)
         # Heaviside with theta(0) = 0.
         x = ((-gamma - dual_load) > 0.0).astype(float)
@@ -59,4 +57,4 @@ def decode_dual_ascent(
             status = STATUS_CONVERGED
             break
         lam += config.step * residual
-    return make_output(x, status, iterations, code)
+    return make_output(x, status, t, code)

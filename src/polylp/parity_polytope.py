@@ -3,10 +3,10 @@ projection, and linear maximization.
 
 The parity polytope ``PP_d`` is the convex hull of all even-weight binary
 vectors of length ``d``.  Projection onto it is the workhorse of the
-ADMM LP decoder: every check-node update is one projection.  The methods
-here run in O(d log d), dominated by a single sort; the batch kernel
-skips even that for rows that pass an O(d) cut test.  The paper's
-two-slice lemma lives in :func:`membership`, as its majorization test.
+ADMM LP decoder: every check-node update is one projection.  Both
+projections run in O(d log d) and solve for their scalar in closed form;
+the batch kernel sorts only the rows that fail an O(d) cut test.  The
+paper's two-slice lemma lives in :func:`membership`, as its majorization test.
 """
 
 from __future__ import annotations
@@ -67,40 +67,22 @@ class ProjectionWorkspace:
     beta_opt: float = 0.0
 
 
-def _line_values(
-    v: NDArray[np.float64], r: int, betas: NDArray[np.float64]
-) -> NDArray[np.float64]:
-    """Evaluate f_r . clip(v - beta * f_r, 0, 1) for each beta, in bulk.
-
-    Works from ascending sorts and prefix sums of the two coordinate
-    blocks, so a whole grid of betas costs O((d + B) log d).
-    """
-    lo = np.sort(v[: r + 1])
-    hi = np.sort(v[r + 1 :])
-    slo = np.concatenate([[0.0], np.cumsum(lo)])
-    shi = np.concatenate([[0.0], np.cumsum(hi)])
-
-    i_top = np.searchsorted(lo, 1.0 + betas, side="left")
-    i_bot = np.searchsorted(lo, betas, side="right")
-    part_lo = (lo.size - i_top) + (slo[i_top] - slo[i_bot]) - betas * (i_top - i_bot)
-
-    j_top = np.searchsorted(hi, 1.0 - betas, side="left")
-    j_bot = np.searchsorted(hi, -betas, side="right")
-    part_hi = (hi.size - j_top) + (shi[j_top] - shi[j_bot]) + betas * (j_top - j_bot)
-    return part_lo - part_hi
-
-
 def project_parity_polytope(
     u: ArrayLike, workspace: ProjectionWorkspace | None = None
 ) -> NDArray[np.float64]:
     """Exact Euclidean projection of ``u`` onto the parity polytope.
 
-    The projection preserves the componentwise order of ``u``, so the
-    problem reduces to a piecewise-linear root search in a scalar
-    ``beta``: the answer is ``clip(v - beta_opt * f_r, 0, 1)`` in sorted
-    coordinates.  ``beta_opt`` is located by evaluating the line value at
-    every breakpoint of the active set and interpolating on the crossing
-    segment.  Cost is one sort plus linear passes, O(d log d).
+    The projection preserves the componentwise order of ``u``, so after a
+    descending sort ``v`` the answer is ``clip(v - beta_opt * f_r, 0, 1)``
+    in sorted coordinates.  As in Barman et al., ``f_r`` is taken by
+    sorted position: +1 on the r+1 largest entries, with r the even floor
+    of the clipped input's sum, and -1 on the rest.  On ``f_r`` the line
+    value is r+1 less a sum of unit ramps, one starting at each
+    ``s_i`` (``v_i - 1`` on the +1 entries, ``-v_i`` on the others), and
+    its root at r is the root of ``sum_i (beta - s_i)_+ = 1``.  With the
+    starts sorted and ``S_k`` the sum of the k smallest, that root has
+    the closed form ``beta_opt = max(0, min_k (1 + S_k) / k)``.  Cost is
+    two sorts plus linear passes, O(d log d).
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.size == 0:
@@ -117,30 +99,14 @@ def project_parity_polytope(
     z_sorted = z_hat
     if r < d:
         fz = 2.0 * float(z_hat[: r + 1].sum()) - float(z_hat.sum())
-        beta_max = 0.5 * (v[r] - v[r + 1]) if r <= d - 2 else float(v[r])
-        if fz > r + PARITY_TOL and beta_max > 0.0:
-            # Grid of all kinks of the line value: the betas where a
-            # clipped large or a zeroed small coordinate becomes active,
-            # then those where an active coordinate saturates at 0 or 1.
-            act = np.concatenate([v[: r + 1] - 1.0, -v[r + 1 :]])
-            act = np.sort(act[(act >= 0.0) & (act <= beta_max)])
-            cand = np.concatenate([v[: r + 1], 1.0 - v[r + 1 :]])
-            cand = cand[(cand >= 0.0) & (cand <= beta_max)]
-            grid = np.concatenate([[0.0], act, cand, [beta_max]])
-            grid.sort()
-            g = _line_values(v, r, grid)
-            hit = g <= r
-            idx = int(np.argmax(hit))
-            if not hit[idx]:
-                beta_opt = beta_max
-            else:
-                b0, b1 = grid[idx - 1], grid[idx]
-                g0, g1 = g[idx - 1], g[idx]
-                beta_opt = b0 + (g0 - r) * (b1 - b0) / (g0 - g1) if g0 > g1 else b1
-            # f_r is +1 on the r+1 largest coordinates, -1 on the rest.
+        if fz > r + PARITY_TOL:
             f = np.ones(d)
             f[r + 1 :] = -1.0
-            z_sorted = np.clip(v - beta_opt * f, 0.0, 1.0)
+            starts = np.sort(np.concatenate([v[: r + 1] - 1.0, -v[r + 1 :]]))
+            ratios = (1.0 + np.cumsum(starts)) / np.arange(1, d + 1)
+            beta_opt = max(float(ratios.min()), 0.0)
+            # PP_1 = {0}; the threshold would leave (v - 1) + 1 - v.
+            z_sorted = np.zeros(1) if d == 1 else np.clip(v - beta_opt * f, 0.0, 1.0)
 
     if workspace is not None:
         workspace.v_sorted = v

@@ -26,7 +26,7 @@ from numpy.typing import ArrayLike, NDArray
 from .admm_decoder import AdmmConfig, DecodeOutput, decode
 from .bp_decoder import BpConfig, decode_bp
 from .channels import ChannelModel, llr, transmit
-from .codes import ParityCheckMatrix, check_integer, is_codeword
+from .codes import ParityCheckMatrix, check_integer, check_llrs, is_codeword
 from .dual_ascent import DualAscentConfig, decode_dual_ascent
 
 CSV_COLUMNS = [
@@ -118,6 +118,7 @@ def ml_account(
     fail.  Ties and non-codeword outputs count as ML successes, making
     the resulting error count a lower bound.
     """
+    gamma = check_llrs(code, gamma)
     sent = _sent_word(code, transmitted)
     est = output.hard_decision
     if not is_codeword(code, est):

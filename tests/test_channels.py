@@ -58,6 +58,18 @@ class TestTransmit:
             assert np.array_equal(transmit(x, ch, again), second)
             assert np.array_equal(transmit(x, ch, 11), first)
 
+    @pytest.mark.parametrize(
+        "seed,message",
+        [
+            (True, "an integer, got True"),
+            (False, "an integer, got False"),
+            (-1, "at least 0, got -1"),
+        ],
+    )
+    def test_rejects_a_seed_that_is_a_bool_or_negative(self, seed, message):
+        with pytest.raises(ValueError, match=f"seed must be {message}"):
+            transmit(np.zeros(4, dtype=np.uint8), Bsc(0.1), seed)
+
     def test_awgn_mean_law_of_large_numbers(self):
         n = 100_000
         y = transmit(np.zeros(n, dtype=np.uint8), Awgn(0.0, 0.5), seed=1)  # sigma^2 = 1

@@ -116,9 +116,13 @@ class TestProjection:
 
     @pytest.mark.parametrize("project", PROJECTORS)
     def test_degenerate_dimension_one(self, project):
-        # The only even-weight vector of length one is zero.
-        assert project(np.array([0.7])) == pytest.approx(0.0)
-        assert project(np.array([-3.0])) == pytest.approx(0.0)
+        # The only even-weight vector of length one is zero, and the
+        # single-row kernel returns it exactly.
+        for u in (0.7, -3.0, 0.1, 0.2):
+            z = project(np.array([u]))
+            assert z == pytest.approx(0.0)
+            if project is project_parity_polytope:
+                assert z[0] == 0.0
 
     @pytest.mark.parametrize("project", PROJECTORS)
     def test_domain_errors(self, project):
@@ -149,6 +153,26 @@ class TestProjection:
         assert ws.r == 0
         assert ws.beta_opt == pytest.approx(1 / 3, abs=1e-12)
         assert np.all(np.diff(ws.v_sorted) <= 0)
+        # f_r changes at beta_max = (v[r] - v[r+1]) / 2 (at v[r] when r + 1
+        # = d), so beta_opt may not pass it by more than a few ulps, on
+        # rows with ties and with entries of 1e6.
+        rng = np.random.default_rng(6)
+        for d in [*range(2, 9), 12, 20]:
+            rows = np.concatenate(
+                [
+                    rng.integers(-1, 3, size=(200, d)).astype(float),
+                    np.round(rng.uniform(-1, 2, size=(200, d)) * 4) / 4,
+                    np.where(rng.random((200, d)) < 0.3, 1e6, 1.0)
+                    * rng.uniform(-1, 1, size=(200, d)),
+                ]
+            )
+            for u in rows:
+                project_parity_polytope(u, ws)
+                v, r = ws.v_sorted, ws.r
+                if ws.beta_opt > 0.0:
+                    beta_max = v[r] if r == d - 1 else 0.5 * (v[r] - v[r + 1])
+                    ulp = np.spacing(max(1.0, np.abs(v[r : r + 2]).max()))
+                    assert ws.beta_opt <= beta_max + 4 * ulp, (u, ws.beta_opt)
 
     def test_march_equals_direct_on_adversarial_inputs(self):
         rng = np.random.default_rng(2)

@@ -276,6 +276,26 @@ class TestMlAccount:
         )
         assert ml_account(fake, gamma, code) is MlOutcome.SUCCESS
 
+    @pytest.mark.parametrize(
+        "gamma,message",
+        [
+            (np.array([np.nan, 1, 1, 1, 1, 1, 1]), "finite"),
+            (np.array([1, 1, 1, -np.inf, 1, 1, 1]), "finite"),
+            (np.ones(6), "length-7"),
+        ],
+        ids=["nan", "inf", "length"],
+    )
+    def test_rejects_bad_llrs(self, gamma, message):
+        # The same check as every decoder's, also for a codeword output.
+        code = hamming_7_4()
+        est = np.array([1, 0, 0, 1, 1, 0, 0], dtype=np.uint8)
+        fake = DecodeOutput(
+            x=est.astype(float), status=STATUS_CONVERGED, integral=True,
+            iterations=1, hard_decision=est, ml_certificate=True,
+        )
+        with pytest.raises(ValueError, match=message):
+            ml_account(fake, gamma, code)
+
 
 class TestSweep:
     def test_worker_count_invariance(self):
