@@ -1,13 +1,14 @@
 """ADMM solver for the relaxed decoding LP.
 
-``decode`` holds its iterates as edge-flat arrays in check order: the
-replicas ``z`` and the scaled duals ``u = lambda / mu`` of Boyd et al.
-(2011, section 3.1.1).  Each phase takes and returns arrays.  An
-iteration averages ``z - u`` into the variables (``x_update``), projects
-each check's over-relaxed mixture plus ``u``, the input ``v``, onto the
-parity polytope (``z_update``), and steps the duals to ``v - z``
-(``lambda_update``).  It stops when the replicas have stopped moving and
-agree with the variables, both to a degree-normalized tolerance.
+``decode`` carries two edge-flat arrays in check order: the replicas
+``z`` and the projection input ``v`` they are the projection of.  The
+scaled duals of Boyd et al. (2011, section 3.1.1) are ``u = v - z``.  An
+iteration averages ``2z - v = z - u`` into the variables (``x_update``),
+takes the over-relaxed dual step ``v + rho (x - z)`` on the edges
+(``lambda_update``) and projects each check's rows of the new ``v`` onto
+the parity polytope (``z_update``).  It stops when the replicas have
+stopped moving and agree with the variables, both to a degree-normalized
+tolerance.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .codes import ParityCheckMatrix, check_integer, check_llrs, check_positive, is_codeword
+from .codes import (ParityCheckMatrix, check_integer, check_llrs, check_positive, check_real,
+                    is_codeword)
 from .parity_polytope import project_batch
 
 # An iterate further than this from {0, 1} in any coordinate is fractional.
@@ -40,6 +42,7 @@ class AdmmConfig:
         check_positive("mu", self.mu)
         check_positive("epsilon", self.epsilon)
         check_integer("t_max", self.t_max, 1)
+        check_real("rho", self.rho)
         if not (1.0 <= self.rho < 2.0):
             raise ValueError("rho must be in [1, 2)")
 
@@ -81,13 +84,13 @@ def make_output(
 
 def x_update(
     z: NDArray[np.float64],
-    u: NDArray[np.float64],
+    v: NDArray[np.float64],
     code: ParityCheckMatrix,
     gamma: NDArray[np.float64],
     config: AdmmConfig,
 ) -> NDArray[np.float64]:
-    """Average the dual-adjusted replicas, step against the LLRs, clamp."""
-    acc = np.bincount(code.edge_var, weights=z - u, minlength=code.n_vars)
+    """Average the dual-adjusted replicas ``2z - v``, step against the LLRs, clamp."""
+    acc = np.bincount(code.edge_var, weights=2.0 * z - v, minlength=code.n_vars)
     x = np.minimum(np.maximum((acc - gamma / config.mu) / code.var_divisor, 0.0), 1.0)
     free = code.isolated_vars
     if free.size:
@@ -96,26 +99,21 @@ def x_update(
     return x
 
 
-def z_update(
+def lambda_update(
+    v: NDArray[np.float64],
     x_edges: NDArray[np.float64],
     z: NDArray[np.float64],
-    u: NDArray[np.float64],
-    code: ParityCheckMatrix,
     config: AdmmConfig,
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Project each check's over-relaxed replica target onto the polytope;
-    returns the projection input ``v`` and the new replicas."""
-    v = config.rho * x_edges + (1.0 - config.rho) * z
-    v += u
+) -> NDArray[np.float64]:
+    """Over-relaxed scaled dual step; returns the next projection input."""
+    return v + config.rho * (x_edges - z)
+
+
+def z_update(v: NDArray[np.float64], code: ParityCheckMatrix) -> NDArray[np.float64]:
+    """Project each check's rows of ``v`` onto the parity polytope."""
     # project_batch is looked up here on every call, so a wrapper put on
     # this module's name sees each projection.
-    return v, code.map_checks(project_batch, v)
-
-
-def lambda_update(v: NDArray[np.float64], z: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Scaled dual step against the residual of the mixture the replicas
-    saw: ``u + (mixture - z)``, which is ``v - z``."""
-    return v - z
+    return code.map_checks(project_batch, v)
 
 
 def decode(
@@ -125,28 +123,26 @@ def decode(
 ) -> DecodeOutput:
     """Solve the decoding LP for the LLR vector ``gamma``.
 
-    Replicas and duals start at zero.  Convergence requires both the
-    replica movement and the replica-to-variable residual to fall below
-    ``epsilon^2`` times the total edge count; the residual is only
-    computed once the movement is below it.
+    Replicas and projection inputs start at zero.  Convergence requires
+    both the replica movement and the replica-to-variable residual to
+    fall below ``epsilon^2`` times the total edge count; the residual is
+    only computed once the movement is below it.
     """
     gamma = check_llrs(code, gamma)
-    # No step writes its inputs, so the replicas and duals can share zeros.
-    z = u = np.zeros(code.n_edges)
+    # No step writes its inputs, so z and v can share zeros.
+    z = v = np.zeros(code.n_edges)
     threshold = config.epsilon**2 * code.n_edges
     status = STATUS_MAX_ITERS
     for t in range(1, config.t_max + 1):
-        x = x_update(z, u, code, gamma, config)
+        x = x_update(z, v, code, gamma, config)
         x_edges = x[code.edge_var]
-        v, z_new = z_update(x_edges, z, u, code, config)
+        v = lambda_update(v, x_edges, z, config)
+        z_new = z_update(v, code)
         dz = z_new - z
-        settled = float(dz @ dz) < threshold
-        if settled:
-            r = x_edges - z_new
-            settled = float(r @ r) < threshold
-        u = lambda_update(v, z_new)
         z = z_new
-        if settled:
-            status = STATUS_CONVERGED
-            break
+        if float(dz @ dz) < threshold:
+            r = x_edges - z
+            if float(r @ r) < threshold:
+                status = STATUS_CONVERGED
+                break
     return make_output(x, status, t, code)

@@ -21,11 +21,10 @@ _ATANH_GUARD = 1.0 - 1e-15
 
 @dataclass(frozen=True)
 class BpConfig:
-    """Iteration cap, saturation magnitude (nats), and early-exit toggle."""
+    """Iteration cap and saturation magnitude (nats)."""
 
     t_max: int = 1000
     llr_clip: float = 30.0
-    early_stop: bool = True
 
     def __post_init__(self) -> None:
         check_integer("t_max", self.t_max, 1)
@@ -59,9 +58,9 @@ def posterior_llrs(
 ) -> tuple[NDArray[np.float64], int, bool]:
     """Run flooding sum-product; return (beliefs, iterations, codeword_found).
 
-    Beliefs are posterior LLRs in the channel convention.  With
-    ``early_stop`` the loop exits once the hard decision satisfies every
-    check and each bit is strictly decided (no exactly-zero belief).
+    Beliefs are posterior LLRs in the channel convention.  The loop exits
+    once the hard decision satisfies every check and each bit is strictly
+    decided (no exactly-zero belief).
     """
     gamma = check_llrs(code, gamma)
     ev = code.edge_var
@@ -76,11 +75,7 @@ def posterior_llrs(
         c2v = _check_node_update(v2c, code, clip)
         beliefs = gamma + np.bincount(ev, weights=c2v, minlength=code.n_vars)
         hard = (beliefs < 0.0).astype(np.uint8)
-        if (
-            config.early_stop
-            and np.all(beliefs != 0.0)
-            and is_codeword(code, hard)
-        ):
+        if np.all(beliefs != 0.0) and is_codeword(code, hard):
             found = True
             break
     return beliefs, t, found

@@ -7,6 +7,7 @@ ensembles.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from contextlib import suppress
 from functools import cached_property
@@ -239,8 +240,15 @@ def check_integer(name: str, value: object, least: int) -> None:
         raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
-def check_positive(name: str, value: float) -> None:
-    """Raise ``ValueError`` unless ``value`` is positive and finite; nan fails."""
+def check_real(name: str, value: object) -> None:
+    """Raise ``ValueError`` unless ``value`` is a real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def check_positive(name: str, value: object) -> None:
+    """Raise ``ValueError`` unless ``value`` is a positive finite real, not a bool; nan fails."""
+    check_real(name, value)
     if not 0.0 < value < np.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 

@@ -6,8 +6,11 @@ certificate, the incremental breakpoint march, the batch projection
 that finds its facet by sorted position, GF(2) codebook
 enumeration, exhaustive marginalization, the decoding LP solved over
 the explicit facet description, per-check loopy belief propagation, the
-per-check loop that builds a code's neighborhoods, and the line-by-line
-alist parser.  None of it shares code paths with the package under test.
+per-check loop that builds a code's neighborhoods, the line-by-line
+alist parser, and the scaled-form ADMM loop.  None of it shares code
+paths with the package under test, except that the ADMM loop calls the
+package's projection and output step, so that only its recurrence
+differs from ``decode``'s.
 """
 
 from __future__ import annotations
@@ -18,7 +21,17 @@ import math
 import numpy as np
 from scipy.optimize import linprog, nnls
 
-from polylp import AlistParseError, ParityCheckMatrix, maximize_linear_batch
+from polylp import (
+    STATUS_CONVERGED,
+    STATUS_MAX_ITERS,
+    AdmmConfig,
+    AlistParseError,
+    DecodeOutput,
+    ParityCheckMatrix,
+    maximize_linear_batch,
+    project_batch,
+)
+from polylp.admm_decoder import make_output
 
 
 def even_weight_vertices(d: int) -> np.ndarray:
@@ -370,6 +383,40 @@ def fundamental_lp(gamma: np.ndarray, code: ParityCheckMatrix) -> tuple[float, n
                   bounds=[(0, 1)] * n, method="highs")
     assert res.status == 0
     return float(res.fun), res.x
+
+
+def decode_scaled_form(
+    gamma: np.ndarray, code: ParityCheckMatrix, config: AdmmConfig = AdmmConfig()
+) -> DecodeOutput:
+    """ADMM in the scaled form of Boyd et al. (2011, section 3.1.1), the
+    reference for ``decode``'s two-array recurrence: it carries the duals
+    ``u`` beside the replicas, builds each projection input as
+    ``rho x + (1 - rho) z + u`` and then steps ``u`` to ``v - z``."""
+    gamma = np.asarray(gamma, dtype=float)
+    z = u = np.zeros(code.n_edges)
+    threshold = config.epsilon**2 * code.n_edges
+    status = STATUS_MAX_ITERS
+    for t in range(1, config.t_max + 1):
+        acc = np.bincount(code.edge_var, weights=z - u, minlength=code.n_vars)
+        x = np.minimum(np.maximum((acc - gamma / config.mu) / code.var_divisor, 0.0), 1.0)
+        free = code.isolated_vars
+        if free.size:
+            x[free] = gamma[free] < 0.0
+        x_edges = x[code.edge_var]
+        v = config.rho * x_edges + (1.0 - config.rho) * z
+        v += u
+        z_new = code.map_checks(project_batch, v)
+        dz = z_new - z
+        settled = float(dz @ dz) < threshold
+        if settled:
+            r = x_edges - z_new
+            settled = float(r @ r) < threshold
+        u = v - z_new
+        z = z_new
+        if settled:
+            status = STATUS_CONVERGED
+            break
+    return make_output(x, status, t, code)
 
 
 def random_tree_code(rng: np.random.Generator, n_max: int = 12) -> ParityCheckMatrix:

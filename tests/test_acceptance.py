@@ -30,6 +30,7 @@ from polylp import (
     sweep,
     transmit,
 )
+from polylp import bp_decoder
 from polylp.bp_decoder import BpConfig
 from oracles import (
     codebook,
@@ -260,14 +261,16 @@ def test_criterion_07_parameter_robustness(convergence_code):
     )
 
 
-def test_criterion_08_bp_tree_exactness():
+def test_criterion_08_bp_tree_exactness(monkeypatch):
+    # Every frame runs all 40 rounds: the codeword exit never fires.
+    monkeypatch.setattr(bp_decoder, "is_codeword", lambda code, x: False)
     rng = np.random.default_rng(108)
     worst = 0.0
     for _ in range(50):
         code = random_tree_code(rng, n_max=12)
         gamma = rng.normal(0.0, 1.5, code.n_vars)
         beliefs, _, _ = posterior_llrs(
-            gamma, code, BpConfig(t_max=40, llr_clip=500.0, early_stop=False)
+            gamma, code, BpConfig(t_max=40, llr_clip=500.0)
         )
         err = float(np.abs(beliefs - exact_marginals(gamma, code)).max())
         worst = max(worst, err)

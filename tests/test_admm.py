@@ -20,6 +20,7 @@ from oracles import (
     check_neighborhoods,
     check_slice,
     codebook,
+    decode_scaled_form,
     fundamental_lp,
     hamming_7_4,
     interleaved_code,
@@ -39,7 +40,7 @@ CODEWORD_EDGES = np.array([1.0, 1.0, 0.0, 0.0])[SINGLE_CHECK.edge_var]
 
 class TestUpdateSteps:
     def test_x_update_clamps_low(self):
-        # Three checks on one variable, z = lam = 0, gamma = 6, mu = 3.
+        # Three checks on one variable, z = v = 0 (so lam = 0), gamma = 6, mu = 3.
         code = ParityCheckMatrix.from_dense([[1, 1], [1, 1], [1, 1]])
         x = x_update(zeros(code), zeros(code), code, np.array([6.0, 6.0]), AdmmConfig(mu=3.0))
         assert np.all(x == 0.0)
@@ -47,51 +48,56 @@ class TestUpdateSteps:
     def test_x_update_clamps_high(self):
         code = ParityCheckMatrix.from_dense([[1, 1], [1, 1], [1, 1]])
         z = np.ones(code.n_edges)
-        x = x_update(z, zeros(code), code, np.array([-6.0, -6.0]), AdmmConfig(mu=3.0))
+        x = x_update(z, z, code, np.array([-6.0, -6.0]), AdmmConfig(mu=3.0))
         assert np.all(x == 1.0)  # raw value 5/3 clamps to 1
 
     def test_x_update_fixed_point(self):
         code = ParityCheckMatrix.from_dense([[1, 1], [1, 1], [1, 1]])
         z = np.full(code.n_edges, 0.5)
-        x = x_update(z, zeros(code), code, np.zeros(2), AdmmConfig(mu=3.0))
+        x = x_update(z, z, code, np.zeros(2), AdmmConfig(mu=3.0))
         assert np.allclose(x, 0.5)
 
     def test_z_update_member_is_fixed(self):
         zero = zeros(SINGLE_CHECK)
-        _, z = z_update(CODEWORD_EDGES, zero, zero, SINGLE_CHECK, AdmmConfig(rho=1.0))
+        v = lambda_update(zero, CODEWORD_EDGES, zero, AdmmConfig(rho=1.0))
+        z = z_update(v, SINGLE_CHECK)
         assert np.allclose(z, [1, 1, 0, 0], atol=1e-12)
 
     def test_z_update_projects(self):
         code = ParityCheckMatrix.from_dense([[1, 1, 1]])
         x = np.array([1.0, 0.0, 0.0])
-        _, z = z_update(x[code.edge_var], zeros(code), zeros(code), code, AdmmConfig(rho=1.0))
+        v = lambda_update(zeros(code), x[code.edge_var], zeros(code), AdmmConfig(rho=1.0))
+        z = z_update(v, code)
         assert np.allclose(z, [2 / 3, 1 / 3, 1 / 3], atol=1e-9)
 
     def test_over_relaxation_inert_at_consensus(self):
-        zero = zeros(SINGLE_CHECK)
-        _, z = z_update(CODEWORD_EDGES, CODEWORD_EDGES, zero, SINGLE_CHECK, AdmmConfig(rho=1.9))
+        # z = x and lam = 0, so v = z + lam / mu = x too.
+        v = lambda_update(CODEWORD_EDGES, CODEWORD_EDGES, CODEWORD_EDGES, AdmmConfig(rho=1.9))
+        z = z_update(v, SINGLE_CHECK)
         assert np.allclose(z, [1, 1, 0, 0], atol=1e-12)
 
     def test_lambda_zero_residual(self):
         zero = zeros(SINGLE_CHECK)
-        v, z = z_update(CODEWORD_EDGES, zero, zero, SINGLE_CHECK, AdmmConfig(rho=1.0))
-        u = lambda_update(v, z)
-        assert np.allclose(u, 0.0, atol=1e-12)
+        v = lambda_update(zero, CODEWORD_EDGES, zero, AdmmConfig(rho=1.0))
+        z = z_update(v, SINGLE_CHECK)
+        assert np.allclose(v - z, 0.0, atol=1e-12)
 
     def test_lambda_arithmetic(self):
-        # With u = 0 the projection input v is the mixture itself, and the
-        # unscaled dual lambda = mu * u moves by mu * (v - z).
-        cfg = AdmmConfig(mu=3.0)
-        u = lambda_update(np.array([0.6, 0.4, 0.5]), np.array([0.5, 0.5, 0.5]))
-        assert np.allclose(cfg.mu * u, [0.3, -0.3, 0.0], atol=1e-12)
+        # With lam = 0 (so v = z) and rho = 1 the new projection input is
+        # the variables themselves, so against replicas that stay at z the
+        # unscaled dual lam = mu * (v - z) moves by mu * (x - z).
+        cfg = AdmmConfig(mu=3.0, rho=1.0)
+        z = np.array([0.5, 0.5, 0.5])
+        v = lambda_update(z, np.array([0.6, 0.4, 0.5]), z, cfg)
+        assert np.allclose(cfg.mu * (v - z), [0.3, -0.3, 0.0], atol=1e-12)
 
     def test_lambda_constant_across_consensus_iterations(self):
-        z = u = zeros(SINGLE_CHECK)
+        z = v = zeros(SINGLE_CHECK)
         cfg = AdmmConfig(rho=1.0)
         for _ in range(2):
-            v, z = z_update(CODEWORD_EDGES, z, u, SINGLE_CHECK, cfg)
-            u = lambda_update(v, z)
-        assert np.allclose(u, 0.0, atol=1e-12)
+            v = lambda_update(v, CODEWORD_EDGES, z, cfg)
+            z = z_update(v, SINGLE_CHECK)
+        assert np.allclose(v - z, 0.0, atol=1e-12)
 
 
 class TestDecodeFixtures:
@@ -169,15 +175,16 @@ class TestDecodeProperties:
         rng = np.random.default_rng(1)
         gamma = rng.normal(0.8, 1.0, 48)
         cfg = AdmmConfig()
-        z = u = zeros(code)
+        z = v = zeros(code)
         threshold = cfg.epsilon**2 * code.n_edges
         for t in range(1, cfg.t_max + 1):
-            x = x_update(z, u, code, gamma, cfg)
+            x = x_update(z, v, code, gamma, cfg)
             gathered = x[code.edge_var]
-            v, z_new = z_update(gathered, z, u, code, cfg)
+            v = lambda_update(v, gathered, z, cfg)
+            z_new = z_update(v, code)
             primal = float(((gathered - z_new) ** 2).sum())
             moved = float(((z_new - z) ** 2).sum())
-            u, z = lambda_update(v, z_new), z_new
+            z = z_new
             if primal < threshold and moved < threshold:
                 break
         assert primal < threshold
@@ -238,9 +245,12 @@ class TestDecodeProperties:
 
         z0 = rng.uniform(0, 1, code.n_edges)
         lam0 = rng.normal(0, 1, code.n_edges)
-        x = x_update(z0, lam0 / cfg.mu, code, gamma, cfg)
-        v, z = z_update(x[code.edge_var], z0, lam0 / cfg.mu, code, cfg)
-        u = lambda_update(v, z)
+        # The phase functions carry v = z + lam / mu in place of lam.
+        v0 = z0 + lam0 / cfg.mu
+        x = x_update(z0, v0, code, gamma, cfg)
+        v = lambda_update(v0, x[code.edge_var], z0, cfg)
+        z = z_update(v, code)
+        lam = cfg.mu * (v - z)
 
         # Message form: lam' = lam/mu; variable messages average the
         # incoming check messages minus the scaled duals.
@@ -258,15 +268,53 @@ class TestDecodeProperties:
             lam_next[sl] = lam_s[sl] + incoming - m_check[sl]
         assert np.abs(m_var - x).max() <= 1e-12
         assert np.abs(m_check - z).max() <= 1e-9
-        assert np.abs(lam_next * cfg.mu - u * cfg.mu).max() <= 1e-9
+        assert np.abs(lam_next * cfg.mu - lam).max() <= 1e-9
 
     def test_config_validation(self):
         # nan and inf fail too: nan used to pass every comparison.
-        for name, values in [("mu", [0.0, np.nan, np.inf]), ("rho", [2.0, np.nan]),
-                             ("epsilon", [-1.0, np.nan, np.inf]), ("t_max", [0, 2.5, True])]:
+        # So do bools and non-numbers, with a ValueError that names the field.
+        for name, values in [("mu", [0.0, np.nan, np.inf, True, "3"]),
+                             ("rho", [2.0, np.nan, True, "3"]),
+                             ("epsilon", [-1.0, np.nan, np.inf, True, "3"]),
+                             ("t_max", [0, 2.5, True])]:
             for value in values:
                 with pytest.raises(ValueError, match=name):
                     AdmmConfig(**{name: value})
+
+
+# (code, BSC crossover, t_max, frames): perfbench's N=96 code at its
+# point and at a worse one, the pinned sweeps' code and points, and a
+# code of mixed check degrees.
+DIFFERENTIAL_CASES = {
+    "n96-0.015": (gen_regular_ldpc(96, 3, 6, seed=7), 0.015, 1000, 1000),
+    "n96-0.05": (gen_regular_ldpc(96, 3, 6, seed=7), 0.05, 1000, 40),
+    "n48-0.03": (gen_regular_ldpc(48, 3, 6, seed=1), 0.03, 100, 200),
+    "n48-0.07": (gen_regular_ldpc(48, 3, 6, seed=1), 0.07, 100, 200),
+    "interleaved-0.08": (interleaved_code(24, 14, seed=5), 0.08, 1000, 50),
+}
+
+
+@pytest.mark.parametrize("case", DIFFERENTIAL_CASES)
+def test_two_array_loop_matches_scaled_form(case):
+    # decode carries (z, v) and folds the over-relaxation into the dual
+    # step; the scaled form carries (z, u) and mixes v afresh.  They are
+    # the same recurrence, so only the last ulps of x may differ.
+    code, p, t_max, frames = DIFFERENTIAL_CASES[case]
+    cfg = AdmmConfig(t_max=t_max)
+    rng = np.random.default_rng(18)
+    worst = 0.0
+    statuses = set()
+    for _ in range(frames):
+        gamma = llr((rng.random(code.n_vars) < p).astype(np.uint8), Bsc(p))
+        a = decode(gamma, code, cfg)
+        b = decode_scaled_form(gamma, code, cfg)
+        assert (a.iterations, a.status, a.integral, a.ml_certificate) == (
+            b.iterations, b.status, b.integral, b.ml_certificate)
+        assert np.array_equal(a.hard_decision, b.hard_decision)
+        worst = max(worst, float(np.abs(a.x - b.x).max()))
+        statuses.add(a.status)
+    assert worst <= 1e-12
+    assert STATUS_CONVERGED in statuses
 
 
 class TestInterleavedDegrees:
@@ -287,7 +335,7 @@ class TestInterleavedDegrees:
             z0 = rng.uniform(-0.5, 1.5, code.n_edges)
             u = rng.normal(0.0, 2.0, code.n_edges) / cfg.mu
             v = cfg.rho * x[code.edge_var] + (1.0 - cfg.rho) * z0 + u
-            _, z = z_update(x[code.edge_var], z0, u, code, cfg)
+            z = z_update(lambda_update(z0 + u, x[code.edge_var], z0, cfg), code)
             for j in range(code.n_checks):
                 sl = check_slice(code, j)
                 assert np.abs(z[sl] - project_parity_polytope(v[sl])).max() <= 1e-9

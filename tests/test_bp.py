@@ -13,6 +13,7 @@ from polylp import (
     llr,
     posterior_llrs,
 )
+from polylp import bp_decoder
 from oracles import (
     check_neighborhoods,
     exact_marginals,
@@ -21,6 +22,12 @@ from oracles import (
     random_tree_code,
     relabel_vars,
 )
+
+
+@pytest.fixture
+def fixed_rounds(monkeypatch):
+    """BP runs all t_max rounds: its codeword exit never fires."""
+    monkeypatch.setattr(bp_decoder, "is_codeword", lambda code, x: False)
 
 
 class TestBpDecoder:
@@ -36,9 +43,10 @@ class TestBpDecoder:
     def test_single_check_one_iteration_is_exact(self):
         code = ParityCheckMatrix.from_dense([[1, 1, 1]])
         gamma = np.array([2.0, 2.0, -0.5])
-        beliefs, _, _ = posterior_llrs(gamma, code, BpConfig(t_max=1, early_stop=False))
+        beliefs, _, _ = posterior_llrs(gamma, code, BpConfig(t_max=1))
         assert np.abs(beliefs - exact_marginals(gamma, code)).max() <= 1e-10
 
+    @pytest.mark.usefixtures("fixed_rounds")
     def test_tree_codes_are_exact(self):
         rng = np.random.default_rng(0)
         worst = 0.0
@@ -46,7 +54,7 @@ class TestBpDecoder:
             code = random_tree_code(rng, n_max=12)
             gamma = rng.normal(0.0, 1.5, code.n_vars)
             beliefs, _, _ = posterior_llrs(
-                gamma, code, BpConfig(t_max=40, llr_clip=500.0, early_stop=False)
+                gamma, code, BpConfig(t_max=40, llr_clip=500.0)
             )
             worst = max(worst, float(np.abs(beliefs - exact_marginals(gamma, code)).max()))
         assert worst <= 1e-6
@@ -56,9 +64,9 @@ class TestBpDecoder:
         # extrinsic messages of the others.
         code = ParityCheckMatrix.from_dense([[1, 1, 1]])
         gamma = np.array([1.3, 0.8, 0.5])
-        b_pos, _, _ = posterior_llrs(gamma, code, BpConfig(t_max=1, early_stop=False))
+        b_pos, _, _ = posterior_llrs(gamma, code, BpConfig(t_max=1))
         flipped = gamma * np.array([1.0, 1.0, -1.0])
-        b_neg, _, _ = posterior_llrs(flipped, code, BpConfig(t_max=1, early_stop=False))
+        b_neg, _, _ = posterior_llrs(flipped, code, BpConfig(t_max=1))
         ext_pos = b_pos - gamma
         ext_neg = b_neg - flipped
         # The message toward the flipped bit ignores it and is unchanged;
@@ -90,7 +98,8 @@ class TestBpDecoder:
         assert (out.hard_decision == (out.x > 0.5)).all()
 
     def test_config_validation(self):
-        for name, values in [("t_max", [0, 2.5, True]), ("llr_clip", [0.0, np.nan, np.inf])]:
+        for name, values in [("t_max", [0, 2.5, True]),
+                             ("llr_clip", [0.0, np.nan, np.inf, True, "3"])]:
             for value in values:
                 with pytest.raises(ValueError, match=name):
                     BpConfig(**{name: value})
@@ -100,6 +109,7 @@ class TestBpDecoder:
         with pytest.raises(ValueError):
             decode_bp(np.ones(2), code)
 
+    @pytest.mark.usefixtures("fixed_rounds")
     def test_interleaved_degrees_invariant_under_check_permutation(self):
         # Degree groups read and written through edge indices give the
         # same beliefs as the same checks in another order.
@@ -108,7 +118,7 @@ class TestBpDecoder:
         order = np.random.default_rng(3).permutation(code.n_checks)
         shuffled = ParityCheckMatrix(code.n_vars, [check_neighborhoods(code)[j] for j in order])
         rng = np.random.default_rng(4)
-        cfg = BpConfig(t_max=20, early_stop=False)
+        cfg = BpConfig(t_max=20)
         for _ in range(10):
             gamma = rng.normal(0.5, 1.5, code.n_vars)
             a, _, _ = posterior_llrs(gamma, code, cfg)
@@ -116,12 +126,13 @@ class TestBpDecoder:
             assert np.abs(a - b).max() <= 1e-9
 
 
+@pytest.mark.usefixtures("fixed_rounds")
 def test_loopy_messages_match_a_per_check_reference_under_saturation():
     # Twenty rounds on a (3,6) code with cycles, with channel LLRs past
     # the clip on both sides, so the variable-to-check saturation binds
     # at +3 and at -3 from the first round on.
     code = gen_regular_ldpc(48, 3, 6, seed=4)
-    cfg = BpConfig(t_max=20, llr_clip=3.0, early_stop=False)
+    cfg = BpConfig(t_max=20, llr_clip=3.0)
     rng = np.random.default_rng(8)
     for _ in range(10):
         gamma = rng.normal(0.5, 2.5, code.n_vars)

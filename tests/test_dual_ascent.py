@@ -41,7 +41,7 @@ class TestDualAscent:
             decode_dual_ascent(np.ones(3), SINGLE_CHECK)
 
     def test_step_validation(self):
-        for name, values in [("step", [0.0, np.nan, np.inf]), ("t_max", [0, 2.5, True])]:
+        for name, values in [("step", [0.0, np.nan, np.inf, True, "3"]), ("t_max", [0, 2.5, True])]:
             for value in values:
                 with pytest.raises(ValueError, match=name):
                     DualAscentConfig(**{name: value})
