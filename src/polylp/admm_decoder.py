@@ -87,11 +87,11 @@ def x_update(
     v: NDArray[np.float64],
     code: ParityCheckMatrix,
     gamma: NDArray[np.float64],
-    config: AdmmConfig,
+    gamma_mu: NDArray[np.float64],
 ) -> NDArray[np.float64]:
-    """Average the dual-adjusted replicas ``2z - v``, step against the LLRs, clamp."""
+    """Average the dual-adjusted replicas ``2z - v``, step against ``gamma / mu``, clamp."""
     acc = np.bincount(code.edge_var, weights=2.0 * z - v, minlength=code.n_vars)
-    x = np.minimum(np.maximum((acc - gamma / config.mu) / code.var_divisor, 0.0), 1.0)
+    x = np.minimum(np.maximum((acc - gamma_mu) / code.var_divisor, 0.0), 1.0)
     free = code.isolated_vars
     if free.size:
         # Unconstrained variables take the minimizer of their cost term.
@@ -131,10 +131,11 @@ def decode(
     gamma = check_llrs(code, gamma)
     # No step writes its inputs, so z and v can share zeros.
     z = v = np.zeros(code.n_edges)
+    gamma_mu = gamma / config.mu
     threshold = config.epsilon**2 * code.n_edges
     status = STATUS_MAX_ITERS
     for t in range(1, config.t_max + 1):
-        x = x_update(z, v, code, gamma, config)
+        x = x_update(z, v, code, gamma, gamma_mu)
         x_edges = x[code.edge_var]
         v = lambda_update(v, x_edges, z, config)
         z_new = z_update(v, code)

@@ -31,14 +31,34 @@ class BpConfig:
         check_positive("llr_clip", self.llr_clip)
 
 
+# Columns from which a prefix scan runs as vector steps (an estimate; README).
+_STEP_COLUMNS = 256
+
+
+def _prefix_products(a: NDArray[np.float64], out: NDArray[np.float64]) -> None:
+    # Inclusive prefix products down axis 0 of a (rows, m) block into out.
+    # numpy accumulates one column at a time, so a wide block takes rows - 1
+    # vector steps instead; both multiply first to last, to the same bytes.
+    if a.shape[1] < _STEP_COLUMNS:
+        np.multiply.accumulate(a, axis=0, out=out)
+        return
+    out[:1] = a[:1]
+    for k in range(1, a.shape[0]):
+        np.multiply(out[k - 1], a[k], out=out[k])
+
+
 def _leave_one_out_products(t: NDArray[np.float64]) -> NDArray[np.float64]:
     # Each entry's product of the other entries of its row, as prefix *
-    # suffix so that a zero message never forces a division.
-    left = np.ones_like(t)
-    right = np.ones_like(t)
-    np.cumprod(t[:, :-1], axis=1, out=left[:, 1:])
-    np.cumprod(t[:, :0:-1], axis=1, out=right[:, -2::-1])
-    return left * right
+    # suffix so that a zero message never forces a division.  The scans
+    # run down a (d, m) copy, one column per check.
+    cols = t.T.copy()
+    left = np.empty_like(cols)
+    right = np.empty_like(cols)
+    left[0] = right[-1] = 1.0
+    _prefix_products(cols[:-1], left[1:])
+    _prefix_products(cols[:0:-1], right[-2::-1])
+    left *= right
+    return left.T
 
 
 def _check_node_update(

@@ -5,7 +5,8 @@ solver: vertex enumeration, a hull-projection QP with an optimality
 certificate, the incremental breakpoint march, the batch projection
 that finds its facet by sorted position, GF(2) codebook
 enumeration, exhaustive marginalization, the decoding LP solved over
-the explicit facet description, per-check loopy belief propagation, the
+the explicit facet description, BP's leave-one-out products by
+cumulative products along each row, per-check loopy belief propagation, the
 per-check loop that builds a code's neighborhoods, the line-by-line
 alist parser, and the scaled-form ADMM loop.  None of it shares code
 paths with the package under test, except that the ADMM loop calls the
@@ -325,6 +326,17 @@ def exact_marginals(gamma: np.ndarray, code: ParityCheckMatrix) -> np.ndarray:
     p0 = np.array([w[xs[:, i] == 0].sum() for i in range(n)])
     p1 = np.array([w[xs[:, i] == 1].sum() for i in range(n)])
     return np.log(p0 / p1)
+
+
+def leave_one_out_products_rowwise(t: np.ndarray) -> np.ndarray:
+    """Each entry's product of the other entries of its row of an (m, d)
+    array, as a prefix product times a suffix product, each a cumulative
+    product along the row."""
+    left = np.ones_like(t)
+    right = np.ones_like(t)
+    np.cumprod(t[:, :-1], axis=1, out=left[:, 1:])
+    np.cumprod(t[:, :0:-1], axis=1, out=right[:, -2::-1])
+    return left * right
 
 
 def loopy_bp_by_check(

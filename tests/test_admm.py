@@ -42,19 +42,21 @@ class TestUpdateSteps:
     def test_x_update_clamps_low(self):
         # Three checks on one variable, z = v = 0 (so lam = 0), gamma = 6, mu = 3.
         code = ParityCheckMatrix.from_dense([[1, 1], [1, 1], [1, 1]])
-        x = x_update(zeros(code), zeros(code), code, np.array([6.0, 6.0]), AdmmConfig(mu=3.0))
+        gamma = np.array([6.0, 6.0])
+        x = x_update(zeros(code), zeros(code), code, gamma, gamma / 3.0)
         assert np.all(x == 0.0)
 
     def test_x_update_clamps_high(self):
         code = ParityCheckMatrix.from_dense([[1, 1], [1, 1], [1, 1]])
         z = np.ones(code.n_edges)
-        x = x_update(z, z, code, np.array([-6.0, -6.0]), AdmmConfig(mu=3.0))
+        gamma = np.array([-6.0, -6.0])
+        x = x_update(z, z, code, gamma, gamma / 3.0)
         assert np.all(x == 1.0)  # raw value 5/3 clamps to 1
 
     def test_x_update_fixed_point(self):
         code = ParityCheckMatrix.from_dense([[1, 1], [1, 1], [1, 1]])
         z = np.full(code.n_edges, 0.5)
-        x = x_update(z, z, code, np.zeros(2), AdmmConfig(mu=3.0))
+        x = x_update(z, z, code, np.zeros(2), np.zeros(2))
         assert np.allclose(x, 0.5)
 
     def test_z_update_member_is_fixed(self):
@@ -178,7 +180,7 @@ class TestDecodeProperties:
         z = v = zeros(code)
         threshold = cfg.epsilon**2 * code.n_edges
         for t in range(1, cfg.t_max + 1):
-            x = x_update(z, v, code, gamma, cfg)
+            x = x_update(z, v, code, gamma, gamma / cfg.mu)
             gathered = x[code.edge_var]
             v = lambda_update(v, gathered, z, cfg)
             z_new = z_update(v, code)
@@ -247,7 +249,7 @@ class TestDecodeProperties:
         lam0 = rng.normal(0, 1, code.n_edges)
         # The phase functions carry v = z + lam / mu in place of lam.
         v0 = z0 + lam0 / cfg.mu
-        x = x_update(z0, v0, code, gamma, cfg)
+        x = x_update(z0, v0, code, gamma, gamma / cfg.mu)
         v = lambda_update(v0, x[code.edge_var], z0, cfg)
         z = z_update(v, code)
         lam = cfg.mu * (v - z)

@@ -18,6 +18,7 @@ from oracles import (
     check_neighborhoods,
     exact_marginals,
     interleaved_code,
+    leave_one_out_products_rowwise,
     loopy_bp_by_check,
     random_tree_code,
     relabel_vars,
@@ -171,3 +172,71 @@ def test_decode_invariant_under_variable_relabeling(code):
             assert np.abs(a.x - b.x[perm]).max() <= 1e-9
         statuses.add(a.status)
     assert statuses == {STATUS_CONVERGED, STATUS_MAX_ITERS}
+
+
+def tanh_halves(m, d, seed):
+    """tanh halves of (m, d) saturated messages, with exact zeros and -0.0."""
+    rng = np.random.default_rng(seed)
+    t = np.tanh(0.5 * np.clip(rng.normal(0.0, 4.0, (m, d)), -30.0, 30.0))
+    t[rng.random((m, d)) < 0.05] = 0.0
+    t[rng.random((m, d)) < 0.05] = -0.0
+    return t
+
+
+@pytest.mark.parametrize(
+    "m,d", [(501, 6), (148, 32), (8, 6), (300, 1), (3, 1), (300, 2), (4, 2)],
+    ids=lambda v: str(v),
+)
+def test_leave_one_out_products_match_the_rowwise_products(m, d):
+    # Tall and short batches, and degree-1 and degree-2 groups.
+    t = tanh_halves(m, d, seed=m + d)
+    got = bp_decoder._leave_one_out_products(t)
+    assert got.shape == (m, d)
+    assert np.ascontiguousarray(got).tobytes() == leave_one_out_products_rowwise(t).tobytes()
+
+
+@pytest.mark.parametrize(
+    "code",
+    [interleaved_code(24, 14, seed=5), interleaved_code(400, 900, seed=6, degrees=(1, 2, 6, 6, 6, 32))],
+    ids=["interleaved", "degrees-1-2-6-32"],
+)
+def test_check_update_matches_the_rowwise_products(code, monkeypatch):
+    # The check update over every degree group (the second code's 450
+    # degree-6 checks take the vector steps, its other groups accumulate),
+    # and BP's beliefs after some rounds, are the bytes of the row-wise
+    # cumulative products.
+    rng = np.random.default_rng(7)
+    t = np.tanh(0.5 * rng.normal(0.0, 4.0, code.n_edges))
+    got = code.map_checks(bp_decoder._leave_one_out_products, t)
+    assert got.tobytes() == code.map_checks(leave_one_out_products_rowwise, t).tobytes()
+    gamma = rng.normal(0.5, 2.0, code.n_vars)
+    cfg = BpConfig(t_max=8)
+    fast = posterior_llrs(gamma, code, cfg)
+    monkeypatch.setattr(bp_decoder, "_leave_one_out_products", leave_one_out_products_rowwise)
+    slow = posterior_llrs(gamma, code, cfg)
+    assert fast[0].tobytes() == slow[0].tobytes() and fast[1:] == slow[1:]
+
+
+# (rows, m) blocks far from the rule's boundary on both sides, and
+# degenerate ones: no rows, one row, two rows, one column.
+SCAN_SHAPES = [(5, 8), (31, 148), (5, 501), (5, 5000), (31, 1000),
+               (0, 7), (1, 1), (1, 300), (2, 1), (2, 300), (5, 1)]
+
+
+@pytest.mark.parametrize("step_columns", [None, 0, 10**9], ids=["rule", "steps", "accumulate"])
+@pytest.mark.parametrize("shape", SCAN_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_prefix_products_match_accumulate_byte_for_byte(monkeypatch, step_columns, shape):
+    # Each branch, and the rule's own choice, against numpy's accumulate.
+    if step_columns is not None:
+        monkeypatch.setattr(bp_decoder, "_STEP_COLUMNS", step_columns)
+    rows, m = shape
+    a = tanh_halves(rows, m, seed=rows * m + 1)
+    want = np.multiply.accumulate(a, axis=0)
+    out = np.empty_like(a)
+    bp_decoder._prefix_products(a, out)
+    assert out.tobytes() == want.tobytes()
+    # Between views with reversed rows, as the suffix products run.
+    flipped = a[::-1].copy()
+    out = np.empty((rows + 1, m))
+    bp_decoder._prefix_products(flipped[::-1], out[-1:0:-1])
+    assert out[-1:0:-1].tobytes() == want.tobytes()
