@@ -72,14 +72,8 @@ def make_output(
     # The hard decision is the bit value nearest each coordinate.
     integral = bool((np.abs(x - hard) <= INTEGRALITY_TOL).all())
     cert = integral and is_codeword(code, hard)
-    return DecodeOutput(
-        x=x,
-        status=status,
-        integral=integral,
-        iterations=iterations,
-        hard_decision=hard,
-        ml_certificate=cert,
-    )
+    return DecodeOutput(x=x, status=status, integral=integral, iterations=iterations,
+                        hard_decision=hard, ml_certificate=cert)
 
 
 def x_update(

@@ -95,7 +95,7 @@ def posterior_llrs(
         c2v = _check_node_update(v2c, code, clip)
         beliefs = gamma + np.bincount(ev, weights=c2v, minlength=code.n_vars)
         hard = (beliefs < 0.0).astype(np.uint8)
-        if np.all(beliefs != 0.0) and is_codeword(code, hard):
+        if (beliefs != 0.0).all() and is_codeword(code, hard):
             found = True
             break
     return beliefs, t, found
@@ -111,12 +111,7 @@ def decode_bp(
     # Stable sigmoid of -belief: probability that the bit is 1.
     p_one = 0.5 * (1.0 - np.tanh(0.5 * beliefs))
     hard = (beliefs < 0.0).astype(np.uint8)
-    integral = bool(np.all(np.minimum(p_one, 1.0 - p_one) <= INTEGRALITY_TOL))
-    return DecodeOutput(
-        x=p_one,
-        status=STATUS_CONVERGED if found else STATUS_MAX_ITERS,
-        integral=integral,
-        iterations=iterations,
-        hard_decision=hard,
-        ml_certificate=False,
-    )
+    integral = bool((np.minimum(p_one, 1.0 - p_one) <= INTEGRALITY_TOL).all())
+    return DecodeOutput(x=p_one, status=STATUS_CONVERGED if found else STATUS_MAX_ITERS,
+                        integral=integral, iterations=iterations, hard_decision=hard,
+                        ml_certificate=False)

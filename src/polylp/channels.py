@@ -15,7 +15,7 @@ from typing import Union
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .codes import check_integer
+from .codes import _all_bits, check_integer
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def transmit(
     bits = np.asarray(x)
     if bits.ndim != 1:
         raise ValueError("codeword must be a 1-D bit vector")
-    if not ((bits == 0) | (bits == 1)).all():
+    if not _all_bits(bits):
         raise ValueError("codeword entries must be 0 or 1")
     if not isinstance(seed, np.random.Generator):
         check_integer("seed", seed, 0)
@@ -90,7 +90,7 @@ def transmit(
     rng = np.random.default_rng(seed)
     if isinstance(ch, Bsc):
         flips = rng.random(bits.size) < ch.p
-        return (bits.astype(np.uint8) ^ flips.astype(np.uint8)).astype(np.uint8)
+        return bits.astype(np.uint8) ^ flips
     symbols = 1.0 - 2.0 * bits.astype(float)
     sigma = math.sqrt(ch.noise_variance)
     return symbols + sigma * rng.standard_normal(bits.size)
@@ -106,7 +106,7 @@ def llr(received: ArrayLike, ch: ChannelModel) -> NDArray[np.float64]:
     if y.ndim != 1:
         raise ValueError("received vector must be 1-D")
     if isinstance(ch, Bsc):
-        if not ((y == 0) | (y == 1)).all():
+        if not _all_bits(y):
             raise ValueError("BSC received symbols must be 0 or 1")
         base = math.log((1.0 - ch.p) / ch.p)
         return (1.0 - 2.0 * y.astype(float)) * base

@@ -91,7 +91,7 @@ class ParityCheckMatrix:
         h = np.asarray(h)
         if h.ndim != 2:
             raise ValueError("dense parity-check matrix must be 2-D")
-        if not ((h == 0) | (h == 1)).all():
+        if not _all_bits(h):
             raise ValueError("dense parity-check matrix entries must be 0 or 1")
         return cls._from_csr(h.shape[1], np.nonzero(h)[1], np.count_nonzero(h, axis=1))
 
@@ -253,14 +253,21 @@ def check_positive(name: str, value: object) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def _all_bits(x: NDArray) -> bool:
+    """True iff every entry of ``x`` is 0 or 1; bool and unsigned words take one max."""
+    if x.dtype.kind in "bu":
+        return bool(np.maximum.reduce(x, axis=None, initial=0) <= 1)
+    return bool(((x == 0) | (x == 1)).all())
+
+
 def is_codeword(code: ParityCheckMatrix, x: ArrayLike) -> bool:
     """True iff every check neighborhood of ``x`` sums to even parity."""
     x = np.asarray(x)
     if x.shape != (code.n_vars,):
         raise ValueError(f"expected a length-{code.n_vars} vector")
-    if not ((x == 0) | (x == 1)).all():
+    if not _all_bits(x):
         raise ValueError("codeword entries must be 0 or 1")
-    bits = x.astype(np.uint8)
+    bits = x.astype(np.uint8, copy=False)
     # Parity of each check is the XOR down its column: d vector ops.
     return not any(
         np.bitwise_xor.reduce(bits[cols], axis=0).any() for cols in code.check_columns
@@ -272,7 +279,7 @@ def check_llrs(code: ParityCheckMatrix, gamma: ArrayLike) -> NDArray[np.float64]
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (code.n_vars,):
         raise ValueError(f"expected a length-{code.n_vars} LLR vector")
-    if not np.all(np.isfinite(gamma)):
+    if not np.isfinite(gamma).all():
         raise ValueError("LLR vector must be finite")
     return gamma
 

@@ -143,6 +143,7 @@ def project_batch(values: ArrayLike) -> NDArray[np.float64]:
     if d == 1:
         # PP_1 = {0}; the threshold below would leave (v - 1) + 1 - v.
         return np.zeros(vals.shape)
+    # numpy's fixed cost per call dominates here: each step uses the cheapest call.
     out = np.minimum(np.maximum(vals, 0.0), 1.0)
     # The cut test runs on a C-contiguous (d, m) copy: a reduction over a
     # row's d entries is then d vector operations across all rows.
@@ -155,16 +156,17 @@ def project_batch(values: ArrayLike) -> NDArray[np.float64]:
     # numpy sums the columns of a (d, m) array with m >= 2 first row to
     # last, but a lone column pairwise once d >= 8; one fixed order keeps
     # each row's projection independent of the batch.
-    total = np.cumsum(cost, axis=0)[-1] if cols.shape[1] == 1 else cost.sum(axis=0)
-    slack = total - 1.0 + np.where(odd, 0.0, 1.0 - 2.0 * cost.max(axis=0))
-    bad = np.flatnonzero(slack < 0.0)
+    total = np.add.accumulate(cost, axis=0)[-1] if cols.shape[1] == 1 else cost.sum(axis=0)
+    fix = 1.0 - 2.0 * cost.max(axis=0)
+    fix[odd] = 0.0
+    bad = (total - 1.0 + fix < 0.0).nonzero()[0]
     if bad.size == 0:
         return out
 
-    v = vals[bad]
+    v = vals.take(bad, axis=0)
     theta = v > 0.5
-    even = np.flatnonzero(~odd[bad])
-    theta[even, cost[:, bad[even]].argmax(axis=0)] ^= True
+    even = (~odd[bad]).nonzero()[0]
+    theta[even, cost.take(bad[even], axis=1).argmax(axis=0)] ^= True
     # On f_r (+1 on theta, -1 off it) the line value is |theta| minus unit
     # ramps clip(beta - s_i, 0, 1), s_i = v_i - 1 on theta and -v_i off it.
     # The first ramp saturates where their sum already reaches 1, so the
@@ -176,12 +178,12 @@ def project_batch(values: ArrayLike) -> NDArray[np.float64]:
     starts.sort(axis=1)
     # c_k and their minimum run down the columns of a (d, rows) copy.
     c = starts.T.copy()
-    np.cumsum(c, axis=0, out=c)
+    np.add.accumulate(c, axis=0, out=c)
     c += 1.0
     c /= np.arange(1, d + 1)[:, None]
     beta = np.maximum(c.min(axis=0), 0.0)[:, None]
-    z = v - np.where(theta, beta, -beta)
-    out[bad] = np.minimum(np.maximum(z, 0.0), 1.0)
+    v -= np.where(theta, beta, -beta)
+    out[bad] = np.minimum(np.maximum(v, 0.0), 1.0)
     return out
 
 

@@ -5,9 +5,12 @@ import pytest
 
 from polylp import Awgn, Bsc, llr, transmit
 
-# Bit vectors must hold only 0 and 1, whatever their dtype.
-NON_BITS = [np.array([0, 0.5]), np.array([0, -1]), np.array([0, 2]), np.array([0, np.nan])]
-NON_BIT_IDS = ["0.5", "-1", "2", "nan"]
+# Bit vectors must hold only 0 and 1, whatever their dtype; bool and
+# unsigned vectors take the rule's one-max branch.
+NON_BITS = [np.array([0, 0.5]), np.array([0, -1]), np.array([0, 2]), np.array([0, np.nan]),
+            np.array([0, 2], dtype=np.uint8), np.array([0, 2], dtype=np.uint16),
+            np.array([0, -1], dtype=np.int8)]
+NON_BIT_IDS = ["0.5", "-1", "2", "nan", "uint8-2", "uint16-2", "int8--1"]
 BIT_DTYPES = [bool, np.uint8, np.int64, float]
 
 
@@ -99,6 +102,9 @@ class TestTransmit:
         word = np.array([0, 1, 1, 0], dtype=dtype)
         assert np.array_equal(transmit(word, Bsc(0.1), seed=0),
                               transmit(word.astype(np.uint8), Bsc(0.1), seed=0))
+        # An empty word has no entry to reject.
+        for ch in (Bsc(0.1), Awgn(2.0, 0.5)):
+            assert transmit(np.zeros(0, dtype=dtype), ch, seed=0).shape == (0,)
 
 
 class TestLlr:
@@ -136,6 +142,7 @@ class TestLlr:
     def test_bsc_accepts_bits_of_any_dtype(self, dtype):
         got = llr(np.array([0, 1, 1, 0], dtype=dtype), Bsc(0.2))
         assert np.array_equal(got, llr(np.array([0, 1, 1, 0]), Bsc(0.2)))
+        assert llr(np.zeros(0, dtype=dtype), Bsc(0.2)).shape == (0,)
 
     def test_sign_convention_favors_zero(self):
         # All-zero word on a quiet channel: expected LLR is positive.

@@ -296,7 +296,9 @@ class TestParityCheckMatrix:
         with pytest.raises(ValueError, match="must be 2-D"):
             ParityCheckMatrix.from_dense(h)
 
-    @pytest.mark.parametrize("h", [[[1, 2, 0], [0, 1, 1]], [[1, 0.5, 1]]])
+    @pytest.mark.parametrize(
+        "h", [[[1, 2, 0], [0, 1, 1]], [[1, 0.5, 1]], np.array([[1, 0], [0, 2]], dtype=np.uint8)]
+    )
     def test_from_dense_rejects_entries_other_than_0_and_1(self, h):
         with pytest.raises(ValueError, match="entries must be 0 or 1"):
             ParityCheckMatrix.from_dense(h)
@@ -567,11 +569,15 @@ class TestIsCodeword:
         with pytest.raises(ValueError):
             is_codeword(h, np.array([1, 0, 0]))
 
-    @pytest.mark.parametrize("bad", [0.5, -1, 2, np.nan], ids=["0.5", "-1", "2", "nan"])
+    # Bool and unsigned words take the rule's one-max branch.
+    @pytest.mark.parametrize(
+        "bad", [0.5, -1, 2, np.nan, np.uint8(2), np.uint16(2), np.int8(-1)],
+        ids=["0.5", "-1", "2", "nan", "uint8-2", "uint16-2", "int8--1"],
+    )
     def test_rejects_non_bits(self, bad):
         h = ParityCheckMatrix.from_dense([[1, 1, 1, 1]])
         with pytest.raises(ValueError, match="0 or 1"):
-            is_codeword(h, np.array([1, 1, 0, bad]))
+            is_codeword(h, np.array([1, 1, 0, bad], dtype=np.asarray(bad).dtype))
 
     def test_matches_dense_parity_on_mixed_degrees(self):
         code = interleaved_code(20, 12, seed=1)
