@@ -33,7 +33,6 @@ from .parity_polytope import (
 )
 from .simulator import (
     DecoderRef,
-    MlOutcome,
     TrialStats,
     ml_account,
     run_point,
@@ -54,7 +53,6 @@ __all__ = [
     "DecodeOutput",
     "DecoderRef",
     "DualAscentConfig",
-    "MlOutcome",
     "ParityCheckMatrix",
     "ProjectionWorkspace",
     "STATUS_CONVERGED",

@@ -52,9 +52,10 @@ class DecodeOutput:
     """Result of one decode: relaxed solution, status, and hard decision.
 
     ``integral`` means every coordinate is within 1e-5 of a bit value.
-    ``ml_certificate`` is set when the output is integral and its hard
-    decision satisfies every check: an integral optimum of the relaxation
-    is a maximum-likelihood codeword.
+    ``ml_certificate`` is set when the decoder converged to an integral
+    point whose hard decision satisfies every check: an integral optimum
+    of the relaxation is a maximum-likelihood codeword, and an iterate
+    cut off at ``t_max`` is not known to be one.
     """
 
     x: NDArray[np.float64]
@@ -71,7 +72,7 @@ def make_output(
     hard = (x > 0.5).astype(np.uint8)
     # The hard decision is the bit value nearest each coordinate.
     integral = bool((np.abs(x - hard) <= INTEGRALITY_TOL).all())
-    cert = integral and is_codeword(code, hard)
+    cert = status == STATUS_CONVERGED and integral and is_codeword(code, hard)
     return DecodeOutput(x=x, status=status, integral=integral, iterations=iterations,
                         hard_decision=hard, ml_certificate=cert)
 
@@ -80,17 +81,11 @@ def x_update(
     z: NDArray[np.float64],
     v: NDArray[np.float64],
     code: ParityCheckMatrix,
-    gamma: NDArray[np.float64],
     gamma_mu: NDArray[np.float64],
 ) -> NDArray[np.float64]:
     """Average the dual-adjusted replicas ``2z - v``, step against ``gamma / mu``, clamp."""
     acc = np.bincount(code.edge_var, weights=2.0 * z - v, minlength=code.n_vars)
-    x = np.minimum(np.maximum((acc - gamma_mu) / code.var_divisor, 0.0), 1.0)
-    free = code.isolated_vars
-    if free.size:
-        # Unconstrained variables take the minimizer of their cost term.
-        x[free] = gamma[free] < 0.0
-    return x
+    return np.minimum(np.maximum((acc - gamma_mu) / code.var_divisor, 0.0), 1.0)
 
 
 def lambda_update(
@@ -100,7 +95,11 @@ def lambda_update(
     config: AdmmConfig,
 ) -> NDArray[np.float64]:
     """Over-relaxed scaled dual step; returns the next projection input."""
-    return v + config.rho * (x_edges - z)
+    # v + rho * (x_edges - z), built in one fresh array; no input is written.
+    s = x_edges - z
+    s *= config.rho
+    s += v
+    return s
 
 
 def z_update(v: NDArray[np.float64], code: ParityCheckMatrix) -> NDArray[np.float64]:
@@ -129,7 +128,7 @@ def decode(
     threshold = config.epsilon**2 * code.n_edges
     status = STATUS_MAX_ITERS
     for t in range(1, config.t_max + 1):
-        x = x_update(z, v, code, gamma, gamma_mu)
+        x = x_update(z, v, code, gamma_mu)
         x_edges = x[code.edge_var]
         v = lambda_update(v, x_edges, z, config)
         z_new = z_update(v, code)
@@ -140,4 +139,6 @@ def decode(
             if float(r @ r) < threshold:
                 status = STATUS_CONVERGED
                 break
+    # No edge reads a variable in no check: it takes its cost term's minimizer.
+    x[code.isolated_vars] = gamma[code.isolated_vars] < 0.0
     return make_output(x, status, t, code)

@@ -204,10 +204,10 @@ def maximize_linear_batch(costs: ArrayLike) -> NDArray[np.int8]:
         raise ValueError("maximize_linear input must be finite")
     pos = c > 0.0
     z = pos.astype(np.int8)
-    odd = np.flatnonzero(np.logical_xor.reduce(pos, axis=1))
+    odd = np.logical_xor.reduce(pos, axis=1).nonzero()[0]
     if odd.size == 0:
         return z
-    c, pos = c[odd], pos[odd]
+    c, pos = c.take(odd, axis=0), pos.take(odd, axis=0)
     up = np.where(pos, c, np.inf)
     down = np.where(pos, -np.inf, c)
     # With no non-positive entry the gain is -inf, so the row drops one.

@@ -10,7 +10,6 @@ accumulated per channel point and emitted as CSV.
 from __future__ import annotations
 
 import csv
-import enum
 import io
 import math
 import time
@@ -85,14 +84,6 @@ class DecoderRef:
         return lambda g: fn(g, code, self.config)
 
 
-class MlOutcome(enum.Enum):
-    """Accounting of one word error against a maximum-likelihood decoder."""
-
-    SUCCESS = "ml_success"
-    CERTIFIED_ERROR = "ml_certified_error"
-    UNKNOWN_AS_SUCCESS = "unknown_counted_as_success"
-
-
 def _sent_word(code: ParityCheckMatrix, transmitted: ArrayLike | None) -> NDArray[np.uint8]:
     """The transmitted word as bits: all zero when not given, else the
     given word once it checks out as a codeword of ``code``."""
@@ -110,22 +101,17 @@ def ml_account(
     gamma: NDArray[np.float64],
     code: ParityCheckMatrix,
     transmitted: ArrayLike | None = None,
-) -> MlOutcome:
-    """Classify a word error for the estimated lower bound on ML decoding.
+) -> bool:
+    """Whether a word error certifies that an ML decoder would also fail.
 
-    A rounded output that is a valid codeword with strictly lower cost
-    than the transmitted word certifies that an ML decoder would also
-    fail.  Ties and non-codeword outputs count as ML successes, making
-    the resulting error count a lower bound.
+    True exactly when the hard decision is a codeword with strictly lower
+    cost than the transmitted word.  Ties and non-codeword outputs give
+    False, so the count of True errors is a lower bound on ML errors.
     """
     gamma = check_llrs(code, gamma)
     sent = _sent_word(code, transmitted)
     est = output.hard_decision
-    if not is_codeword(code, est):
-        return MlOutcome.UNKNOWN_AS_SUCCESS
-    if float(gamma @ est) < float(gamma @ sent):
-        return MlOutcome.CERTIFIED_ERROR
-    return MlOutcome.SUCCESS
+    return is_codeword(code, est) and float(gamma @ est) < float(gamma @ sent)
 
 
 @dataclass
@@ -176,9 +162,7 @@ def _run_trial(
     out = decode_fn(gamma)
     elapsed = time.perf_counter() - t0
     bit_errors = int(np.count_nonzero(out.hard_decision != transmitted))
-    ml_error = bit_errors > 0 and (
-        ml_account(out, gamma, code, transmitted) is MlOutcome.CERTIFIED_ERROR
-    )
+    ml_error = bit_errors > 0 and ml_account(out, gamma, code, transmitted)
     return bit_errors, out.iterations, elapsed, ml_error
 
 

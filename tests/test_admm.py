@@ -43,20 +43,20 @@ class TestUpdateSteps:
         # Three checks on one variable, z = v = 0 (so lam = 0), gamma = 6, mu = 3.
         code = ParityCheckMatrix.from_dense([[1, 1], [1, 1], [1, 1]])
         gamma = np.array([6.0, 6.0])
-        x = x_update(zeros(code), zeros(code), code, gamma, gamma / 3.0)
+        x = x_update(zeros(code), zeros(code), code, gamma / 3.0)
         assert np.all(x == 0.0)
 
     def test_x_update_clamps_high(self):
         code = ParityCheckMatrix.from_dense([[1, 1], [1, 1], [1, 1]])
         z = np.ones(code.n_edges)
         gamma = np.array([-6.0, -6.0])
-        x = x_update(z, z, code, gamma, gamma / 3.0)
+        x = x_update(z, z, code, gamma / 3.0)
         assert np.all(x == 1.0)  # raw value 5/3 clamps to 1
 
     def test_x_update_fixed_point(self):
         code = ParityCheckMatrix.from_dense([[1, 1], [1, 1], [1, 1]])
         z = np.full(code.n_edges, 0.5)
-        x = x_update(z, z, code, np.zeros(2), np.zeros(2))
+        x = x_update(z, z, code, np.zeros(2))
         assert np.allclose(x, 0.5)
 
     def test_z_update_member_is_fixed(self):
@@ -90,7 +90,10 @@ class TestUpdateSteps:
         # unscaled dual lam = mu * (v - z) moves by mu * (x - z).
         cfg = AdmmConfig(mu=3.0, rho=1.0)
         z = np.array([0.5, 0.5, 0.5])
-        v = lambda_update(z, np.array([0.6, 0.4, 0.5]), z, cfg)
+        x_edges = np.array([0.6, 0.4, 0.5])
+        # Read-only inputs: the step writes none of them.
+        z.flags.writeable = x_edges.flags.writeable = False
+        v = lambda_update(z, x_edges, z, cfg)
         assert np.allclose(cfg.mu * (v - z), [0.3, -0.3, 0.0], atol=1e-12)
 
     def test_lambda_constant_across_consensus_iterations(self):
@@ -129,17 +132,20 @@ class TestDecodeFixtures:
     def test_isolated_variable(self, llr_isolated, bit):
         # A variable in no check minimizes its own cost term: 1 for a
         # negative LLR, else 0.  It leaves the other variables untouched.
+        # decode sets it once per frame, so both loop exits are checked.
         base = gen_regular_ldpc(30, 3, 6, seed=1)
         code = ParityCheckMatrix.from_dense(np.hstack([base.to_dense(), np.zeros((15, 1))]))
         assert code.isolated_vars.tolist() == [30]
         gamma = np.random.default_rng(3).normal(0.6, 1.0, 30)
-        alone = decode(gamma, base)
-        out = decode(np.append(gamma, llr_isolated), code)
-        assert out.x[-1] == bit and out.hard_decision[-1] == bit
-        assert np.array_equal(out.x[:-1], alone.x)
-        assert np.array_equal(out.hard_decision[:-1], alone.hard_decision)
-        assert (out.status, out.iterations) == (alone.status, alone.iterations)
-        assert out.ml_certificate == alone.ml_certificate
+        for cfg, status in ((AdmmConfig(), STATUS_CONVERGED), (AdmmConfig(t_max=1), STATUS_MAX_ITERS)):
+            alone = decode(gamma, base, cfg)
+            out = decode(np.append(gamma, llr_isolated), code, cfg)
+            assert alone.status == status
+            assert out.x[-1] == bit and out.hard_decision[-1] == bit
+            assert np.array_equal(out.x[:-1], alone.x)
+            assert np.array_equal(out.hard_decision[:-1], alone.hard_decision)
+            assert (out.status, out.iterations) == (alone.status, alone.iterations)
+            assert out.ml_certificate == alone.ml_certificate
 
     def test_hamming_one_flip_matches_lp_and_ml(self):
         # Every <=1-flip pattern is solved to the LP optimum.  Flips on
@@ -180,7 +186,7 @@ class TestDecodeProperties:
         z = v = zeros(code)
         threshold = cfg.epsilon**2 * code.n_edges
         for t in range(1, cfg.t_max + 1):
-            x = x_update(z, v, code, gamma, gamma / cfg.mu)
+            x = x_update(z, v, code, gamma / cfg.mu)
             gathered = x[code.edge_var]
             v = lambda_update(v, gathered, z, cfg)
             z_new = z_update(v, code)
@@ -249,7 +255,7 @@ class TestDecodeProperties:
         lam0 = rng.normal(0, 1, code.n_edges)
         # The phase functions carry v = z + lam / mu in place of lam.
         v0 = z0 + lam0 / cfg.mu
-        x = x_update(z0, v0, code, gamma, gamma / cfg.mu)
+        x = x_update(z0, v0, code, gamma / cfg.mu)
         v = lambda_update(v0, x[code.edge_var], z0, cfg)
         z = z_update(v, code)
         lam = cfg.mu * (v - z)

@@ -66,6 +66,21 @@ class TestDualAscent:
                     assert out.integral and out.ml_certificate
         assert converged >= 10
 
+    def test_max_iters_codeword_is_not_certified(self):
+        # At t_max the Heaviside step can be a codeword without consensus.
+        # Here it is the zero word (cost 0), but ADMM converges to a
+        # codeword of cost -0.367, so the zero word is not ML.
+        code = hamming_7_4()
+        gamma = np.array([-0.551, 0.881, 1.053, -0.582, 1.39, -0.287, 2.458])
+        out = decode_dual_ascent(gamma, code)
+        assert (out.status, out.iterations) == (STATUS_MAX_ITERS, 1000)
+        assert out.integral and not out.hard_decision.any()
+        assert not out.ml_certificate
+        ml = decode(gamma, code)
+        assert ml.status == STATUS_CONVERGED and ml.ml_certificate
+        assert ml.hard_decision.tolist() == [1, 0, 1, 1, 0, 1, 0]
+        assert float(gamma @ ml.hard_decision) < 0.0
+
     def test_agrees_with_admm_when_both_converge(self):
         # Fixture sweep: whenever dual ascent reaches zero residual with
         # an integral iterate, its hard decision matches ADMM's.
