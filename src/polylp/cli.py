@@ -26,7 +26,7 @@ from .channels import Awgn, Bsc, ChannelModel
 from .codes import check_llrs, gen_regular_ldpc, emit_alist, parse_alist
 from .dual_ascent import DualAscentConfig
 from .parity_polytope import ProjectionWorkspace, project_parity_polytope
-from .simulator import ALGORITHMS, DECODERS, DecoderRef, check_run_args, stats_to_csv, sweep
+from .simulator import DECODERS, DecoderRef, check_run_args, stats_to_csv, sweep
 
 
 class UsageError(Exception):
@@ -108,7 +108,7 @@ def build_parser() -> _Parser:
     p.add_argument("--code", required=True, help="alist file of the code")
     p.add_argument("--llr", required=True,
                    help="LLR vector: inline whitespace-separated or a file path")
-    p.add_argument("--algo", choices=ALGORITHMS, default=DecoderRef.algo)
+    p.add_argument("--algo", choices=DECODERS, default=DecoderRef.algo)
     _add_decoder_flags(p)
     p.add_argument("--out", help="JSON output path (default stdout)")
     p.add_argument("--config", help="key=value config file")
@@ -131,7 +131,7 @@ def build_parser() -> _Parser:
                    help="comma-separated channel parameters (p or Eb/N0 dB)")
     p.add_argument("--rate", type=float, default=None,
                    help="code rate for AWGN (default: design rate)")
-    p.add_argument("--decoder", choices=ALGORITHMS, default=DecoderRef.algo)
+    p.add_argument("--decoder", choices=DECODERS, default=DecoderRef.algo)
     _add_decoder_flags(p)
     p.add_argument("--trials", type=int, default=None, help="fixed trials per point")
     p.add_argument("--target-errors", type=int, default=None,

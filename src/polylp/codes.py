@@ -101,14 +101,6 @@ class ParityCheckMatrix:
         return h
 
     @cached_property
-    def _var_checks(self) -> NDArray[np.int64]:
-        """Check index of each edge, edges grouped by variable in check order."""
-        by_var = np.argsort(self.edge_var, kind="stable")
-        checks = np.repeat(np.arange(self.n_checks), self.check_degrees)[by_var]
-        checks.flags.writeable = False
-        return checks
-
-    @cached_property
     def check_degrees(self) -> NDArray[np.int64]:
         return np.diff(self.check_ptr)
 
@@ -224,12 +216,6 @@ def _first_fault(*faults: tuple[NDArray[np.int64], str]) -> tuple[int, str] | No
     on a tie the earlier pair wins.  None when every pair is empty."""
     found = [(int(js.min()), fault) for js, fault in faults if js.size]
     return min(found, key=lambda f: f[0]) if found else None
-
-
-def _slices(flat: NDArray | list[str], sizes: ArrayLike) -> tuple:
-    """``flat`` cut into consecutive runs of the given sizes (views of an array)."""
-    bounds = np.concatenate([[0], np.cumsum(sizes)]).tolist()
-    return tuple(flat[a:b] for a, b in zip(bounds, bounds[1:]))
 
 
 def check_integer(name: str, value: object, least: int) -> None:
@@ -378,14 +364,20 @@ def parse_alist(text: str) -> ParityCheckMatrix:
 
 def emit_alist(code: ParityCheckMatrix) -> str:
     """Serialize to canonical alist text: unpadded, single-spaced, 1-based."""
+    # A column lists its checks in check order: the check of each edge,
+    # with the edges in a stable sort by variable.
+    checks = np.repeat(np.arange(code.n_checks), code.check_degrees)
+    by_var = checks[np.argsort(code.edge_var, kind="stable")]
+    words = list(map(str, (np.concatenate([by_var, code.edge_var]) + 1).tolist()))
+    var_degs, check_degs = code.var_degrees.tolist(), code.check_degrees.tolist()
+    bounds = [0, *accumulate(var_degs + check_degs)]
     out = [
         f"{code.n_vars} {code.n_checks}",
-        f"{int(code.var_degrees.max())} {int(code.check_degrees.max())}",
-        " ".join(map(str, code.var_degrees.tolist())),
-        " ".join(map(str, code.check_degrees.tolist())),
+        f"{max(var_degs)} {max(check_degs)}",
+        " ".join(map(str, var_degs)),
+        " ".join(map(str, check_degs)),
+        *(" ".join(words[a:b]) for a, b in zip(bounds, bounds[1:])),
     ]
-    for flat, sizes in ((code._var_checks, code.var_degrees), (code.edge_var, code.check_degrees)):
-        out += [" ".join(w) for w in _slices(list(map(str, (flat + 1).tolist())), sizes)]
     return "\n".join(out) + "\n"
 
 

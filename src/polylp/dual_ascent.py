@@ -45,7 +45,6 @@ def decode_dual_ascent(
     gamma = check_llrs(code, gamma)
     ev = code.edge_var
     lam = np.zeros(code.n_edges)
-    x = np.zeros(code.n_vars)
     status = STATUS_MAX_ITERS
     for t in range(1, config.t_max + 1):
         dual_load = np.bincount(ev, weights=lam, minlength=code.n_vars)

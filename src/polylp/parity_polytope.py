@@ -37,7 +37,7 @@ def membership(u: ArrayLike, tol: float = PARITY_TOL) -> bool:
     if u.ndim != 1 or u.size == 0:
         raise ValueError("membership expects a non-empty 1-D vector")
     d = u.size
-    if np.any(u < -tol) or np.any(u > 1.0 + tol):
+    if not ((u >= -tol) & (u <= 1.0 + tol)).all():
         return False
     s = min(max(float(u.sum()), 0.0), float(d))
     # Snap sums that sit a rounding error below an even integer.
@@ -57,12 +57,10 @@ class ProjectionWorkspace:
     """Diagnostics of one projection call, owned by one caller at a time.
 
     After a call that received this workspace, the fields describe the
-    solved instance: the descending sort ``v_sorted`` of the input, the
-    constituent parity ``r``, and the located ``beta_opt`` (0 when the
-    clipped input is already in the polytope).
+    solved instance: the constituent parity ``r`` and the located
+    ``beta_opt`` (0 when the clipped input is already in the polytope).
     """
 
-    v_sorted: NDArray[np.float64] | None = None
     r: int = 0
     beta_opt: float = 0.0
 
@@ -109,7 +107,6 @@ def project_parity_polytope(
             z_sorted = np.zeros(1) if d == 1 else np.clip(v - beta_opt * f, 0.0, 1.0)
 
     if workspace is not None:
-        workspace.v_sorted = v
         workspace.r = r
         workspace.beta_opt = beta_opt
 

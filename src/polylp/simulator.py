@@ -24,7 +24,7 @@ from numpy.typing import ArrayLike, NDArray
 
 from .admm_decoder import AdmmConfig, DecodeOutput, decode
 from .bp_decoder import BpConfig, decode_bp
-from .channels import ChannelModel, llr, transmit
+from .channels import Awgn, ChannelModel, llr, transmit
 from .codes import ParityCheckMatrix, check_integer, check_llrs, is_codeword
 from .dual_ascent import DualAscentConfig, decode_dual_ascent
 
@@ -51,7 +51,6 @@ CSV_COLUMNS = [
 
 # The decoders by name, each with the config class it takes.
 DECODERS = {"admm": AdmmConfig, "bp": BpConfig, "dual-ascent": DualAscentConfig}
-ALGORITHMS = tuple(DECODERS)
 
 
 @dataclass(frozen=True)
@@ -67,7 +66,7 @@ class DecoderRef:
 
     def __post_init__(self) -> None:
         if self.algo not in DECODERS:
-            raise ValueError(f"unknown decoder {self.algo!r}; use one of {ALGORITHMS}")
+            raise ValueError(f"unknown decoder {self.algo!r}; use one of {tuple(DECODERS)}")
         expected = DECODERS[self.algo]
         if self.config is None:
             object.__setattr__(self, "config", expected())
@@ -225,7 +224,7 @@ def run_point(
         channel_param=channel.param,
         seed=seed,
         n_vars=code.n_vars,
-        rate=code.design_rate,
+        rate=channel.rate if isinstance(channel, Awgn) else code.design_rate,
     )
     run = partial(_run_trial, code, channel, decoder, sent, seed, point_index)
     owned = workers > 1 and pool is None

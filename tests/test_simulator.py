@@ -40,6 +40,11 @@ class TestRunPoint:
         assert stats.word_errors == 0
         assert stats.wer == 0.0
 
+    def test_rate_is_the_channel_rate_on_awgn_and_the_design_rate_on_bsc(self):
+        code = gen_regular_ldpc(24, 3, 6, seed=7)
+        assert run_point(code, Awgn(3.0, 0.3), ADMM_FAST, n_trials=2).rate == 0.3
+        assert run_point(code, Bsc(0.05), ADMM_FAST, n_trials=2).rate == code.design_rate
+
     def test_determinism(self):
         code = gen_regular_ldpc(32, 3, 6, seed=0)
         a = run_point(code, Bsc(0.06), ADMM_FAST, n_trials=60, seed=3)
