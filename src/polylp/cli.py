@@ -130,7 +130,7 @@ def build_parser() -> _Parser:
     p.add_argument("--points", required=True,
                    help="comma-separated channel parameters (p or Eb/N0 dB)")
     p.add_argument("--rate", type=float, default=None,
-                   help="code rate for AWGN (default: design rate)")
+                   help="code rate for AWGN only (default: design rate)")
     p.add_argument("--decoder", choices=DECODERS, default=DecoderRef.algo)
     _add_decoder_flags(p)
     p.add_argument("--trials", type=int, default=None, help="fixed trials per point")
@@ -227,6 +227,8 @@ def _cmd_project(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if args.rate is not None and args.channel == "bsc":
+        raise UsageError("--rate applies to --channel awgn only")
     code = parse_alist(Path(args.code).read_text())
     try:
         params = [float(t) for t in args.points.split(",") if t.strip()]

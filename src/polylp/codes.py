@@ -11,7 +11,7 @@ import numbers
 import operator
 from contextlib import suppress
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, groupby, islice
 from typing import Callable
 
 import numpy as np
@@ -368,16 +368,14 @@ def emit_alist(code: ParityCheckMatrix) -> str:
     # with the edges in a stable sort by variable.
     checks = np.repeat(np.arange(code.n_checks), code.check_degrees)
     by_var = checks[np.argsort(code.edge_var, kind="stable")]
-    words = list(map(str, (np.concatenate([by_var, code.edge_var]) + 1).tolist()))
+    values = iter((np.concatenate([by_var, code.edge_var]) + 1).tolist())
     var_degs, check_degs = code.var_degrees.tolist(), code.check_degrees.tolist()
-    bounds = [0, *accumulate(var_degs + check_degs)]
-    out = [
-        f"{code.n_vars} {code.n_checks}",
-        f"{max(var_degs)} {max(check_degs)}",
-        " ".join(map(str, var_degs)),
-        " ".join(map(str, check_degs)),
-        *(" ".join(words[a:b]) for a, b in zip(bounds, bounds[1:])),
-    ]
+    out = [f"{code.n_vars} {code.n_checks}", f"{max(var_degs)} {max(check_degs)}",
+           " ".join(map(str, var_degs)), " ".join(map(str, check_degs))]
+    # Each run of k lines of one degree d is one format over its k * d values.
+    for d, run in groupby(var_degs + check_degs):
+        k = len(list(run))
+        out.append("\n".join([" ".join(["%d"] * d)] * k) % tuple(islice(values, k * d)))
     return "\n".join(out) + "\n"
 
 
@@ -390,20 +388,24 @@ def gen_regular_ldpc(n: int, var_deg: int, check_deg: int, seed: int) -> ParityC
 
     Variable sockets are permuted and dealt to checks; draws with parallel
     edges are rejected and resampled, up to ``_GEN_ATTEMPTS`` times.  Short
-    cycles other than parallel edges are kept.  Deterministic per seed.
+    cycles other than parallel edges are kept.  Deterministic per seed.  A
+    check degree above ``n`` forces a parallel edge and raises at once.
     """
     for name, value, least in (("n", n, 1), ("var_deg", var_deg, 1), ("check_deg", check_deg, 1),
                                ("seed", seed, 0)):
         check_integer(name, value, least)
     if (n * var_deg) % check_deg != 0:
         raise ValueError("n * var_deg must be divisible by check_deg")
+    if check_deg > n:  # equivalently, var_deg > m
+        raise CodeGenerationError(f"a check of degree {check_deg} over {n} variables must have "
+                                  "a parallel edge, so no draw can succeed")
     m = (n * var_deg) // check_deg
     rng = np.random.default_rng(seed)
     sockets = np.repeat(np.arange(n), var_deg)
     for _ in range(_GEN_ATTEMPTS):
         dealt = rng.permutation(sockets).reshape(m, check_deg)
         dealt.sort(axis=1)
-        if np.all(np.diff(dealt, axis=1) != 0):
+        if (dealt[:, 1:] != dealt[:, :-1]).all():
             return ParityCheckMatrix._from_csr(n, dealt.ravel(), np.full(m, check_deg))
     raise CodeGenerationError(
         f"no parallel-edge-free ({var_deg},{check_deg}) code of length {n} "

@@ -8,7 +8,7 @@ enumeration, exhaustive marginalization, the decoding LP solved over
 the explicit facet description, BP's leave-one-out products by
 cumulative products along each row, per-check loopy belief propagation, the
 per-check loop that builds a code's neighborhoods, the line-by-line
-alist parser, and the scaled-form ADMM loop.  None of it shares code
+alist parser and writer, and the scaled-form ADMM loop.  None of it shares code
 paths with the package under test, except that the ADMM loop calls the
 package's projection and output step, so that only its recurrence
 differs from ``decode``'s.
@@ -572,3 +572,21 @@ def _alist_section(
             raise AlistParseError(f"line {ln + 1}: {item} index out of range")
         flat += entries
     return np.array(flat, dtype=np.int64) - 1
+
+
+def emit_alist_reference(code: ParityCheckMatrix) -> str:
+    """``emit_alist`` one line at a time: each column's checks and each
+    row's variables sliced out of one word list and joined alone.  Same text."""
+    checks = np.repeat(np.arange(code.n_checks), code.check_degrees)
+    by_var = checks[np.argsort(code.edge_var, kind="stable")]
+    words = list(map(str, (np.concatenate([by_var, code.edge_var]) + 1).tolist()))
+    var_degs, check_degs = code.var_degrees.tolist(), code.check_degrees.tolist()
+    bounds = [0, *itertools.accumulate(var_degs + check_degs)]
+    out = [
+        f"{code.n_vars} {code.n_checks}",
+        f"{max(var_degs)} {max(check_degs)}",
+        " ".join(map(str, var_degs)),
+        " ".join(map(str, check_degs)),
+        *(" ".join(words[a:b]) for a, b in zip(bounds, bounds[1:])),
+    ]
+    return "\n".join(out) + "\n"

@@ -257,6 +257,14 @@ class TestSimulate:
         row = dict(zip(*csv.reader(res.stdout.splitlines())))
         assert (row["channel_param"], row["rate"]) == ("3", "0.3")
 
+    def test_rate_on_bsc_is_usage_error(self, code_file):
+        # The BSC's noise does not depend on the rate, so the flag cannot apply.
+        res = run_cli("simulate", "--code", str(code_file), "--channel", "bsc",
+                      "--points", "0.05", "--rate", "0.3", "--trials", "2")
+        assert res.returncode == 1
+        assert "--rate applies to --channel awgn only" in res.stderr
+        assert res.stdout == ""
+
     def test_awgn_sweep_with_env_workers(self, code_file):
         import os
         env = dict(os.environ, POLYLP_WORKERS="2")

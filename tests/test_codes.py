@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 
 import numpy as np
@@ -21,6 +22,7 @@ from oracles import (
     check_neighborhoods,
     check_slice,
     codebook,
+    emit_alist_reference,
     interleaved_code,
     neighborhoods_by_loop,
     parse_alist_reference,
@@ -244,6 +246,52 @@ class TestParseAlist:
     def test_non_integer_token(self):
         with pytest.raises(AlistParseError, match="line 1"):
             parse_alist("3 x\n2 2\n")
+
+
+def array_code_q37():
+    """The (4,32) array code of prime q=37: check (a, r) holds variable
+    (b, (r + a*b) mod 37) of each block column b."""
+    b = np.arange(32)
+    checks = [b * 37 + (r + a * b) % 37 for a in range(4) for r in range(37)]
+    return ParityCheckMatrix(32 * 37, checks)
+
+
+class TestEmitAlist:
+    # Each code's lines fall into runs of equal degree in a different way.
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: gen_regular_ldpc(96, 3, 6, seed=7),
+            lambda: gen_regular_ldpc(1002, 3, 6, seed=7),
+            array_code_q37,
+            lambda: ParityCheckMatrix.from_dense([[0, 0, 1, 1, 1], [0, 0, 0, 1, 1]]),
+            lambda: ParityCheckMatrix.from_dense([[1, 0, 1, 0, 1], [1, 0, 0, 0, 1]]),
+            lambda: ParityCheckMatrix.from_dense([[1, 1, 1, 0, 0], [0, 1, 1, 0, 0]]),
+            lambda: ParityCheckMatrix.from_dense([[0, 1, 0, 1, 0], [0, 1, 1, 0, 0]]),
+            lambda: interleaved_code(20, 12, seed=1),
+            lambda: interleaved_code(20, 12, seed=1, degrees=(3, 5)),
+            lambda: ParityCheckMatrix(5, [[0, 2, 4]]),
+            lambda: ParityCheckMatrix(1, [[0]]),
+            lambda: parse_alist(FIXTURE_ALIST),
+        ],
+        ids=["n96", "n1002", "array-q37", "zero-columns-first", "zero-column-in-the-middle",
+             "zero-columns-last", "zero-columns-apart", "interleaved", "interleaved-3-5",
+             "one-check", "one-edge", "fixture"],
+    )
+    def test_matches_the_per_line_writer(self, build):
+        code = build()
+        assert emit_alist(code) == emit_alist_reference(code)
+
+    def test_matches_the_per_line_writer_on_random_codes(self):
+        rng = np.random.default_rng(2024)
+        for i in range(600):
+            n, m = rng.integers(1, 40), rng.integers(1, 30)
+            h = (rng.random((m, n)) < rng.uniform(0.05, 0.6)).astype(np.uint8)
+            if i % 2:
+                h[:, rng.integers(0, n, size=rng.integers(1, 4))] = 0
+            h[h.sum(axis=1) == 0, rng.integers(0, n)] = 1
+            code = ParityCheckMatrix.from_dense(h)
+            assert emit_alist(code) == emit_alist_reference(code), h
 
 
 class TestParityCheckMatrix:
@@ -541,9 +589,23 @@ class TestGenRegular:
             gen_regular_ldpc(24, 3, 6, seed)
 
     def test_generation_failure_bounded(self):
-        # Degree-6 checks over 2 variables cannot avoid parallel edges.
-        with pytest.raises(CodeGenerationError):
-            gen_regular_ldpc(2, 3, 6, seed=0)
+        # A check of degree above n cannot avoid parallel edges, so no draw is made.
+        for n, var_deg, check_deg in [(2, 3, 6), (4, 4, 8), (3, 4, 6)]:
+            message = f"a check of degree {check_deg} over {n} variables must have a parallel edge"
+            with pytest.raises(CodeGenerationError, match=message):
+                gen_regular_ldpc(n, var_deg, check_deg, seed=0)
+
+    @pytest.mark.parametrize(
+        "n, digest",
+        [(24, "b05e54c7729256637b7552ed1d4105bbaa5bd4cba2c8a98f634304facac632c3"),
+         (96, "a3d8efcdf6da5f861e21b7d0e8bf73ce4e85588af3c129d36748c58518c82816"),
+         (1002, "bbab66aa817723d0f9fbcaed41b5b2977c8473e49dffc76920ebef3f9ad48a0f")],
+    )
+    def test_seeded_codes_are_pinned(self, n, digest):
+        # The CI smoke code and perfbench's two regular codes: a change to
+        # the draws or to the parallel-edge test would move these digests.
+        edge_var = gen_regular_ldpc(n, 3, 6, seed=7).edge_var
+        assert hashlib.sha256(edge_var.astype("<i8").tobytes()).hexdigest() == digest
 
     def test_emit_parse_round_trip(self):
         code = gen_regular_ldpc(48, 3, 6, seed=3)
