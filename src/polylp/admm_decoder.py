@@ -84,8 +84,12 @@ def x_update(
     gamma_mu: NDArray[np.float64],
 ) -> NDArray[np.float64]:
     """Average the dual-adjusted replicas ``2z - v``, step against ``gamma / mu``, clamp."""
-    acc = np.bincount(code.edge_var, weights=2.0 * z - v, minlength=code.n_vars)
-    return np.minimum(np.maximum((acc - gamma_mu) / code.var_divisor, 0.0), 1.0)
+    w = z + z
+    w -= v
+    acc = np.bincount(code.edge_var, weights=w, minlength=code.n_vars)
+    acc -= gamma_mu
+    acc /= code.var_divisor
+    return np.minimum(np.maximum(acc, 0.0, out=acc), 1.0, out=acc)
 
 
 def lambda_update(
@@ -134,11 +138,13 @@ def decode(
         z_new = z_update(v, code)
         dz = z_new - z
         z = z_new
-        if float(dz @ dz) < threshold:
+        if dz.dot(dz) < threshold:
             r = x_edges - z
-            if float(r @ r) < threshold:
+            if r.dot(r) < threshold:
                 status = STATUS_CONVERGED
                 break
     # No edge reads a variable in no check: it takes its cost term's minimizer.
-    x[code.isolated_vars] = gamma[code.isolated_vars] < 0.0
+    free = code.isolated_vars
+    if free.size:
+        x[free] = gamma[free] < 0.0
     return make_output(x, status, t, code)

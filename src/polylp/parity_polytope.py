@@ -11,6 +11,7 @@ paper's two-slice lemma lives in :func:`membership`, as its majorization test.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -115,6 +116,12 @@ def project_parity_polytope(
     return out
 
 
+@functools.cache
+def _ranks(d: int) -> NDArray[np.float64]:
+    """The divisors 1..d of the threshold candidates, as a (d, 1) column."""
+    return np.arange(1.0, d + 1.0)[:, None]
+
+
 def project_batch(values: ArrayLike) -> NDArray[np.float64]:
     """Row-wise parity-polytope projection of an (m, d) array.
 
@@ -134,7 +141,8 @@ def project_batch(values: ArrayLike) -> NDArray[np.float64]:
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 2 or vals.shape[1] == 0:
         raise ValueError("project_batch expects an (m, d) array with d >= 1")
-    if not np.isfinite(vals).all():
+    # A finite sum has only finite terms; a non-finite one may be an overflow.
+    if not math.isfinite(vals.sum()) and not np.isfinite(vals).all():
         raise ValueError("projection input must be finite")
     d = vals.shape[1]
     if d == 1:
@@ -154,9 +162,12 @@ def project_batch(values: ArrayLike) -> NDArray[np.float64]:
     # last, but a lone column pairwise once d >= 8; one fixed order keeps
     # each row's projection independent of the batch.
     total = np.add.accumulate(cost, axis=0)[-1] if cols.shape[1] == 1 else cost.sum(axis=0)
-    fix = 1.0 - 2.0 * cost.max(axis=0)
-    fix[odd] = 0.0
-    bad = (total - 1.0 + fix < 0.0).nonzero()[0]
+    # The fix is 1 - 2 max(cost).  A rounded sum has the sign of the exact
+    # sum and negation is exact, so the slack is negative iff total - 1 < -fix.
+    total -= 1.0
+    neg_fix = 2.0 * cost.max(axis=0) - 1.0
+    neg_fix[odd] = 0.0
+    bad = (total < neg_fix).nonzero()[0]
     if bad.size == 0:
         return out
 
@@ -171,16 +182,17 @@ def project_batch(values: ArrayLike) -> NDArray[np.float64]:
     # With S_k the sum of the k smallest starts, c_k = (1 + S_k) / k has
     # h(c_k) >= k c_k - S_k = 1, and c_k of the active prefix is the root:
     # beta = min_k c_k.
-    starts = np.where(theta, v - 1.0, -v)
+    starts = np.negative(v)
+    np.subtract(v, 1.0, out=starts, where=theta)
     starts.sort(axis=1)
     # c_k and their minimum run down the columns of a (d, rows) copy.
     c = starts.T.copy()
     np.add.accumulate(c, axis=0, out=c)
     c += 1.0
-    c /= np.arange(1, d + 1)[:, None]
+    c /= _ranks(d)
     beta = np.maximum(c.min(axis=0), 0.0)[:, None]
     v -= np.where(theta, beta, -beta)
-    out[bad] = np.minimum(np.maximum(v, 0.0), 1.0)
+    out[bad] = np.minimum(np.maximum(v, 0.0, out=v), 1.0, out=v)
     return out
 
 

@@ -6,6 +6,7 @@ from polylp import (
     ParityCheckMatrix,
     STATUS_CONVERGED,
     STATUS_MAX_ITERS,
+    Awgn,
     Bsc,
     decode,
     decode_bp,
@@ -14,7 +15,9 @@ from polylp import (
     is_codeword,
     llr,
     membership,
+    transmit,
 )
+from polylp import admm_decoder
 from polylp.admm_decoder import INTEGRALITY_TOL, lambda_update, x_update, z_update
 from oracles import (
     check_neighborhoods,
@@ -24,7 +27,9 @@ from oracles import (
     fundamental_lp,
     hamming_7_4,
     interleaved_code,
+    project_batch_reference,
     relabel_vars,
+    x_update_reference,
 )
 
 SINGLE_CHECK = ParityCheckMatrix.from_dense([[1, 1, 1, 1]])
@@ -323,6 +328,38 @@ def test_two_array_loop_matches_scaled_form(case):
         statuses.add(a.status)
     assert worst <= 1e-12
     assert STATUS_CONVERGED in statuses
+
+
+class TestReferenceKernels:
+    """``decode`` gives the same bytes on the one-expression x-update and
+    the projection kernel its own were cut down from."""
+
+    @staticmethod
+    def frames():
+        rng = np.random.default_rng(2025)
+        n96 = gen_regular_ldpc(96, 3, 6, seed=7)
+        small = interleaved_code(24, 14, seed=5)
+        for code, points, count in ((n96, (0.015, 0.05), 30), (small, (0.03, 0.1), 15)):
+            for p in points:
+                for _ in range(count):
+                    yield code, llr((rng.random(code.n_vars) < p).astype(np.uint8), Bsc(p))
+        for snr in (2.0, 4.0):
+            ch = Awgn(snr, n96.design_rate)
+            for _ in range(8):
+                yield n96, llr(transmit(np.zeros(n96.n_vars, np.uint8), ch, rng), ch)
+
+    def test_decode_is_byte_identical(self, monkeypatch):
+        frames = list(self.frames())
+        outs = [decode(gamma, code) for code, gamma in frames]
+        assert {out.status for out in outs} == {STATUS_CONVERGED, STATUS_MAX_ITERS}
+        monkeypatch.setattr(admm_decoder, "project_batch", project_batch_reference)
+        monkeypatch.setattr(admm_decoder, "x_update", x_update_reference)
+        for (code, gamma), a in zip(frames, outs):
+            b = decode(gamma, code)
+            assert a.x.tobytes() == b.x.tobytes()
+            assert (a.status, a.iterations, a.integral, a.ml_certificate) == (
+                b.status, b.iterations, b.integral, b.ml_certificate)
+            assert a.hard_decision.tobytes() == b.hard_decision.tobytes()
 
 
 class TestInterleavedDegrees:

@@ -55,6 +55,14 @@ class TestGenCode:
         assert res.returncode == 1
         assert message in res.stderr
 
+    def test_check_degree_above_length_is_usage_error(self, tmp_path):
+        # No draw can succeed, and the flags alone decide it.
+        out = tmp_path / "code.alist"
+        res = run_cli("gen-code", "--n", "2", "--dv", "3", "--dc", "6", "--out", str(out))
+        assert res.returncode == 1
+        assert "--dc must be at most --n" in res.stderr
+        assert not out.exists()
+
     def test_negative_seed_is_usage_error(self, tmp_path):
         out = tmp_path / "code.alist"
         res = run_cli("gen-code", "--n", "24", "--dv", "3", "--dc", "6",

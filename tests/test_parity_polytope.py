@@ -5,12 +5,17 @@ import pytest
 
 import polylp
 from polylp import (
+    Bsc,
     ProjectionWorkspace,
+    decode,
+    gen_regular_ldpc,
+    llr,
     maximize_linear_batch,
     membership,
     project_batch,
     project_parity_polytope,
 )
+from polylp import admm_decoder
 from polylp.parity_polytope import even_floor
 from oracles import (
     even_weight_vertices,
@@ -18,6 +23,7 @@ from oracles import (
     hull_project,
     maximize_linear,
     maximize_linear_scalar,
+    project_batch_reference,
     project_breakpoint_march,
 )
 
@@ -102,6 +108,44 @@ class TestMembership:
             checked_in += lp
             checked_out += not lp
         assert checked_in > 30 and checked_out > 30
+
+
+def batch_test_matrices():
+    """Rows of every degree in 1-10, 20, 32 and 64: uniform, with ties at
+    0, 1/2 and 1, near odd-weight vertices, and with entries of 1e6."""
+    rng = np.random.default_rng(3)
+    for d in [*range(1, 11), 20, 32, 64]:
+        odd = rng.integers(0, 2, size=(100, d))
+        odd[:, 0] ^= 1 - odd.sum(axis=1) % 2  # odd-weight vertices
+        yield np.concatenate(
+            [
+                rng.uniform(-2, 3, size=(300, d)),
+                rng.integers(-1, 3, size=(100, d)).astype(float),
+                np.round(rng.uniform(-1, 2, size=(100, d)) * 4) / 4,
+                odd + rng.normal(0.0, 0.5 / d, size=(100, d)),
+                np.where(rng.random((100, d)) < 0.3, 1e6, 1.0)
+                * rng.uniform(-1, 1, size=(100, d)),
+            ]
+        )
+
+
+def decoder_projection_inputs():
+    """Every project_batch input of seeded ADMM decodes of perfbench's N=96
+    code at BSC 0.015 and 0.05."""
+    code = gen_regular_ldpc(96, 3, 6, seed=7)
+    rng = np.random.default_rng(25)
+    calls = []
+
+    def record(values):
+        calls.append(np.array(values))
+        return project_batch(values)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(admm_decoder, "project_batch", record)
+        for p in (0.015, 0.05):
+            for _ in range(20):
+                decode(llr((rng.random(code.n_vars) < p).astype(np.uint8), Bsc(p)), code)
+    return calls
 
 
 class TestProjection:
@@ -194,20 +238,7 @@ class TestProjection:
             assert np.abs(z1 - z2).max() <= 1e-9
 
     def test_batch_equals_single(self):
-        rng = np.random.default_rng(3)
-        for d in [*range(1, 11), 20, 32, 64]:
-            odd = rng.integers(0, 2, size=(100, d))
-            odd[:, 0] ^= 1 - odd.sum(axis=1) % 2  # odd-weight vertices
-            mats = np.concatenate(
-                [
-                    rng.uniform(-2, 3, size=(300, d)),
-                    rng.integers(-1, 3, size=(100, d)).astype(float),
-                    np.round(rng.uniform(-1, 2, size=(100, d)) * 4) / 4,
-                    odd + rng.normal(0.0, 0.5 / d, size=(100, d)),
-                    np.where(rng.random((100, d)) < 0.3, 1e6, 1.0)
-                    * rng.uniform(-1, 1, size=(100, d)),
-                ]
-            )
+        for mats in batch_test_matrices():
             zb = project_batch(mats)
             zs = np.array([project_parity_polytope(u) for u in mats])
             assert np.abs(zb - zs).max() <= 1e-9
@@ -230,6 +261,67 @@ class TestProjection:
                 z = project_parity_polytope(u)
                 zo = hull_project(u, verts)
                 assert np.abs(z - zo).max() <= 1e-6
+
+
+class TestBatchKernelBytes:
+    """``project_batch`` gives the bytes of the reference kernel it was cut
+    down from, and keeps its finiteness contract."""
+
+    @staticmethod
+    def assert_same_bytes(values):
+        want = project_batch_reference(values)
+        got = project_batch(values)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_matches_reference_on_test_matrices(self):
+        for mats in batch_test_matrices():
+            self.assert_same_bytes(mats)
+            # Lone rows take the cumulative sum, not the column sum.
+            for row in mats[::7]:
+                self.assert_same_bytes(row[None])
+
+    def test_matches_reference_on_rational_grids(self):
+        # Entries k/q put many rows exactly on the cut test's boundary,
+        # where the slack is 0 after rounding.
+        rng = np.random.default_rng(25)
+        for d in range(3, 9):
+            for q in (3, 6, 7, 9, 10):
+                self.assert_same_bytes(rng.integers(-1, q + 2, size=(2000, d)) / q)
+
+    def test_matches_reference_on_decoder_inputs(self):
+        calls = decoder_projection_inputs()
+        assert len(calls) > 200
+        for values in calls:
+            self.assert_same_bytes(values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(5, 6), (1, 6), (5, 1)])
+    def test_non_finite_entry_anywhere_rejected(self, bad, shape):
+        m, d = shape
+        for i in sorted({0, m // 2, m - 1}):
+            for j in sorted({0, d // 2, d - 1}):
+                values = np.full(shape, 0.3)
+                values[i, j] = bad
+                with pytest.raises(ValueError, match="finite"):
+                    project_batch(values)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_opposite_infinities_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            project_batch(np.array([[np.inf, 0.5, -np.inf]]))
+
+    # numpy warns of the overflow in the one-sum test before the entrywise test runs.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("values", [
+        [[1e308, 1e308, -1.0]],
+        [[-1e308, -1e308, 0.7]],
+        [[1e308, 0.2, 0.9], [1e308, 0.6, 0.1]],
+        [[1.7e308, -0.4, 0.6, 1.7e308], [0.2, 0.4, 0.6, 0.8]],
+    ])
+    def test_finite_rows_with_overflowing_sum_accepted(self, values):
+        values = np.array(values)
+        assert not math.isfinite(values.sum())
+        self.assert_same_bytes(values)
 
 
 class TestMaximizeLinear:
