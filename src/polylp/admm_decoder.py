@@ -69,12 +69,28 @@ class DecodeOutput:
 def make_output(
     x: NDArray[np.float64], status: str, iterations: int, code: ParityCheckMatrix
 ) -> DecodeOutput:
-    hard = (x > 0.5).astype(np.uint8)
-    # The hard decision is the bit value nearest each coordinate.
-    integral = bool((np.abs(x - hard) <= INTEGRALITY_TOL).all())
-    cert = status == STATUS_CONVERGED and integral and is_codeword(code, hard)
+    # The hard decision is the bit value nearest each coordinate.  Every
+    # decoder's x lies in [0, 1], so |x - hard| is min(x, 1 - x) exactly,
+    # and all of it is within the tolerance iff its maximum is.
+    ones = x > 0.5
+    integral = bool(np.minimum(x, 1.0 - x).max() <= INTEGRALITY_TOL)
+    cert = status == STATUS_CONVERGED and integral and is_codeword(code, ones)
     return DecodeOutput(x=x, status=status, integral=integral, iterations=iterations,
-                        hard_decision=hard, ml_certificate=cert)
+                        hard_decision=ones.view(np.uint8), ml_certificate=cert)
+
+
+# OpenBLAS splits a ddot of over ~10 000 entries across its threads, and the
+# split moves its rounding; a longer residual dot sums chunks of this size.
+_DOT_CHUNK = 8192
+
+
+def _chunked_dot(a: NDArray[np.float64], b: NDArray[np.float64]) -> float:
+    """``a . b`` summed over ``_DOT_CHUNK``-entry chunks in order: the same bits
+    under any BLAS thread count."""
+    total = 0.0
+    for k in range(0, a.size, _DOT_CHUNK):
+        total += a[k : k + _DOT_CHUNK].dot(b[k : k + _DOT_CHUNK])
+    return total
 
 
 def x_update(
@@ -130,6 +146,7 @@ def decode(
     z = v = np.zeros(code.n_edges)
     gamma_mu = gamma / config.mu
     threshold = config.epsilon**2 * code.n_edges
+    dot = np.ndarray.dot if code.n_edges <= _DOT_CHUNK else _chunked_dot
     status = STATUS_MAX_ITERS
     for t in range(1, config.t_max + 1):
         x = x_update(z, v, code, gamma_mu)
@@ -138,9 +155,9 @@ def decode(
         z_new = z_update(v, code)
         dz = z_new - z
         z = z_new
-        if dz.dot(dz) < threshold:
+        if dot(dz, dz) < threshold:
             r = x_edges - z
-            if r.dot(r) < threshold:
+            if dot(r, r) < threshold:
                 status = STATUS_CONVERGED
                 break
     # No edge reads a variable in no check: it takes its cost term's minimizer.

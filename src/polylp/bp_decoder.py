@@ -94,8 +94,9 @@ def posterior_llrs(
         v2c = np.clip(beliefs[ev] - c2v, -clip, clip)
         c2v = _check_node_update(v2c, code, clip)
         beliefs = gamma + np.bincount(ev, weights=c2v, minlength=code.n_vars)
-        hard = (beliefs < 0.0).astype(np.uint8)
-        if (beliefs != 0.0).all() and is_codeword(code, hard):
+        # Parity fails on all but the last iteration of most frames, so it
+        # is tested first, and the zero-belief scan runs only once it holds.
+        if is_codeword(code, beliefs < 0.0) and (beliefs != 0.0).all():
             found = True
             break
     return beliefs, t, found

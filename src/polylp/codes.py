@@ -240,24 +240,29 @@ def check_positive(name: str, value: object) -> None:
 
 
 def _all_bits(x: NDArray) -> bool:
-    """True iff every entry of ``x`` is 0 or 1; bool and unsigned words take one max."""
-    if x.dtype.kind in "bu":
+    """True iff every entry of ``x`` is 0 or 1; a bool array holds nothing else,
+    and an unsigned one takes one max."""
+    if x.dtype == bool:
+        return True
+    if x.dtype.kind == "u":
         return bool(np.maximum.reduce(x, axis=None, initial=0) <= 1)
     return bool(((x == 0) | (x == 1)).all())
 
 
 def is_codeword(code: ParityCheckMatrix, x: ArrayLike) -> bool:
-    """True iff every check neighborhood of ``x`` sums to even parity."""
+    """True iff every check neighborhood of ``x`` sums to even parity; a bool
+    word, such as a decoder's ``beliefs < 0``, needs no 0/1 check or copy."""
     x = np.asarray(x)
     if x.shape != (code.n_vars,):
         raise ValueError(f"expected a length-{code.n_vars} vector")
     if not _all_bits(x):
         raise ValueError("codeword entries must be 0 or 1")
-    bits = x.astype(np.uint8, copy=False)
+    bits = x if x.dtype == bool else x.astype(np.uint8, copy=False)
     # Parity of each check is the XOR down its column: d vector ops.
-    return not any(
-        np.bitwise_xor.reduce(bits[cols], axis=0).any() for cols in code.check_columns
-    )
+    for cols in code.check_columns:
+        if np.bitwise_xor.reduce(bits[cols], axis=0).any():
+            return False
+    return True
 
 
 def check_llrs(code: ParityCheckMatrix, gamma: ArrayLike) -> NDArray[np.float64]:

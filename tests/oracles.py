@@ -9,10 +9,12 @@ enumeration, exhaustive marginalization, the decoding LP solved over
 the explicit facet description, BP's leave-one-out products by
 cumulative products along each row, per-check loopy belief propagation, the
 per-check loop that builds a code's neighborhoods, the line-by-line
-alist parser and writer, and the scaled-form ADMM loop.  None of it shares code
-paths with the package under test, except that the ADMM loop calls the
-package's projection and output step, so that only its recurrence
-differs from ``decode``'s.
+alist parser and writer, the scaled-form ADMM loop, and the codeword
+test and BP loop as they stood before their stop tests were reordered.
+None of it shares code paths with the package under test, except that
+the ADMM loop calls the package's projection and output step, so that
+only its recurrence differs from ``decode``'s, and the BP loop calls the
+package's check update, so that only its stop test differs.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from polylp import (
     project_batch,
 )
 from polylp.admm_decoder import make_output
+from polylp.bp_decoder import BpConfig, _check_node_update
+from polylp.codes import check_llrs
 
 
 def even_weight_vertices(d: int) -> np.ndarray:
@@ -438,6 +442,53 @@ def loopy_bp_by_check(
     for nb, msg in zip(nbhds, c2v):
         beliefs[nb] += msg
     return beliefs
+
+
+def _all_bits_reference(x: np.ndarray) -> bool:
+    """``codes._all_bits`` as it was before bool words skipped the scan, kept verbatim."""
+    if x.dtype.kind in "bu":
+        return bool(np.maximum.reduce(x, axis=None, initial=0) <= 1)
+    return bool(((x == 0) | (x == 1)).all())
+
+
+def is_codeword_reference(code: ParityCheckMatrix, x: np.ndarray) -> bool:
+    """``codes.is_codeword`` as it was before bool words skipped the 0/1 scan
+    and the copy, kept verbatim: the reference for its verdicts and errors."""
+    x = np.asarray(x)
+    if x.shape != (code.n_vars,):
+        raise ValueError(f"expected a length-{code.n_vars} vector")
+    if not _all_bits_reference(x):
+        raise ValueError("codeword entries must be 0 or 1")
+    bits = x.astype(np.uint8, copy=False)
+    # Parity of each check is the XOR down its column: d vector ops.
+    return not any(
+        np.bitwise_xor.reduce(bits[cols], axis=0).any() for cols in code.check_columns
+    )
+
+
+def posterior_llrs_reference(
+    gamma: np.ndarray, code: ParityCheckMatrix, config: BpConfig = BpConfig()
+) -> tuple[np.ndarray, int, bool]:
+    """``bp_decoder.posterior_llrs`` as it was before it tested parity first,
+    kept verbatim, with the codeword test above: the byte-for-byte
+    reference for the order of its stop tests."""
+    gamma = check_llrs(code, gamma)
+    ev = code.edge_var
+    clip = config.llr_clip
+    c2v = np.zeros(code.n_edges)
+    # Each iteration's variable totals are the last beliefs; the first
+    # ones add zero messages, so -0.0 LLRs come in as 0.0.
+    beliefs = gamma + 0.0
+    found = False
+    for t in range(1, config.t_max + 1):
+        v2c = np.clip(beliefs[ev] - c2v, -clip, clip)
+        c2v = _check_node_update(v2c, code, clip)
+        beliefs = gamma + np.bincount(ev, weights=c2v, minlength=code.n_vars)
+        hard = (beliefs < 0.0).astype(np.uint8)
+        if (beliefs != 0.0).all() and is_codeword_reference(code, hard):
+            found = True
+            break
+    return beliefs, t, found
 
 
 def fundamental_lp(gamma: np.ndarray, code: ParityCheckMatrix) -> tuple[float, np.ndarray]:

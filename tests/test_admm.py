@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -18,7 +22,8 @@ from polylp import (
     transmit,
 )
 from polylp import admm_decoder
-from polylp.admm_decoder import INTEGRALITY_TOL, lambda_update, x_update, z_update
+from polylp.admm_decoder import (INTEGRALITY_TOL, lambda_update, make_output, x_update,
+                                 z_update)
 from oracles import (
     check_neighborhoods,
     check_slice,
@@ -360,6 +365,92 @@ class TestReferenceKernels:
             assert (a.status, a.iterations, a.integral, a.ml_certificate) == (
                 b.status, b.iterations, b.integral, b.ml_certificate)
             assert a.hard_decision.tobytes() == b.hard_decision.tobytes()
+
+
+class TestMakeOutput:
+    """``make_output`` on hand-built iterates around the integrality tolerance."""
+
+    WORD = np.array([1.0, 1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("k,offset,integral",
+                             [(0, -1e-4, False), (2, 1e-4, False), (0, -1e-6, True), (2, 1e-6, True)])
+    def test_a_coordinate_1e_4_from_a_bit_is_not_integral(self, k, offset, integral):
+        # 1e-4 lies between the tolerance of 1e-5 and 1e-3, so a tolerance
+        # of 1e-3 would call the first two iterates integral and certify
+        # them; 1e-6 is inside the tolerance.
+        x = self.WORD.copy()
+        x[k] += offset
+        out = make_output(x, STATUS_CONVERGED, 7, SINGLE_CHECK)
+        assert (out.integral, out.ml_certificate) == (integral, integral)
+        assert out.hard_decision.tolist() == [1, 1, 0, 0]
+
+    def test_integrality_is_the_distance_to_the_hard_decision(self):
+        # min(x, 1 - x) on [0, 1] against |x - hard|, the definition, at
+        # and one ulp either side of each boundary.
+        tol = INTEGRALITY_TOL
+        edges = [0.0, 5e-324, tol, 0.3, 0.5, 1.0 - tol, 1.0]
+        values = edges + [np.nextafter(e, side) for e in edges for side in (0.0, 1.0)]
+        for status in (STATUS_CONVERGED, STATUS_MAX_ITERS):
+            for k in (0, 2):
+                for value in values:
+                    x = self.WORD.copy()
+                    x[k] = value
+                    hard = (x > 0.5).astype(np.uint8)
+                    integral = bool((np.abs(x - hard) <= tol).all())
+                    out = make_output(x, status, 3, SINGLE_CHECK)
+                    assert out.integral == integral, value
+                    assert out.hard_decision.dtype == np.uint8
+                    assert out.hard_decision.tobytes() == hard.tobytes()
+                    assert out.ml_certificate == (
+                        status == STATUS_CONVERGED and integral and is_codeword(SINGLE_CHECK, hard))
+
+
+# Prints the in-order chunked dot of 30 000-entry vectors, then a digest of
+# seeded decodes of an N=5000 code, whose 15 000 edges take the chunked
+# residual dots.
+BLAS_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from polylp import AdmmConfig, Bsc, decode, gen_regular_ldpc, llr
+from polylp.admm_decoder import _chunked_dot
+for seed in range(8):
+    v = np.random.default_rng(seed).normal(size=30000)
+    print(_chunked_dot(v, v).hex())
+code = gen_regular_ldpc(5000, 3, 6, seed=7)
+rng = np.random.default_rng(3)
+digest = hashlib.sha256()
+for p in (0.035, 0.05, 0.06):
+    out = decode(llr((rng.random(5000) < p).astype(np.uint8), Bsc(p)), code, AdmmConfig(t_max=200))
+    digest.update(f"{out.status} {out.iterations}".encode() + out.x.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_residual_dots_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS threads a ddot of more than ~10 000 entries, and a plain
+    # dot of these vectors then has other bits under 1 and 2 threads
+    # (seen on 2 cores); the chunks of 8 192 run on one thread each.
+    outs = []
+    for threads in ("1", "2"):
+        res = subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT], capture_output=True,
+                             text=True, timeout=300,
+                             env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+        assert res.returncode == 0, res.stderr
+        outs.append(res.stdout.split())
+    assert len(outs[0]) == 9
+    assert outs[0][:8] == outs[1][:8], "the chunked dot depends on the thread count"
+    assert outs[0][8] == outs[1][8], "decodes depend on the thread count"
+
+
+@pytest.mark.parametrize("n", [8192, 8193, 30000])
+def test_chunked_dot_is_one_dot_up_to_a_chunk(n):
+    a, b = np.random.default_rng(n).normal(size=(2, n))
+    got = admm_decoder._chunked_dot(a, b)
+    if n <= admm_decoder._DOT_CHUNK:
+        assert got.hex() == a.dot(b).hex()
+    else:
+        want = sum(a[k:k + 8192].dot(b[k:k + 8192]) for k in range(0, n, 8192))
+        assert got.hex() == want.hex()
 
 
 class TestInterleavedDegrees:

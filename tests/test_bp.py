@@ -20,6 +20,7 @@ from oracles import (
     interleaved_code,
     leave_one_out_products_rowwise,
     loopy_bp_by_check,
+    posterior_llrs_reference,
     random_tree_code,
     relabel_vars,
 )
@@ -172,6 +173,38 @@ def test_decode_invariant_under_variable_relabeling(code):
             assert np.abs(a.x - b.x[perm]).max() <= 1e-9
         statuses.add(a.status)
     assert statuses == {STATUS_CONVERGED, STATUS_MAX_ITERS}
+
+
+@pytest.mark.parametrize("n,frames", [(96, 24), (1002, 8)])
+def test_posterior_llrs_match_the_reference_loop(n, frames):
+    # Parity first, the zero-belief scan second: the same beliefs, bit for
+    # bit, the same iteration and the same verdict as the loop that scanned
+    # first, on frames that end on a codeword and frames that run to t_max.
+    code = gen_regular_ldpc(n, 3, 6, seed=7)
+    cfg = BpConfig(t_max=60)
+    rng = np.random.default_rng(n)
+    found = set()
+    for p in np.linspace(0.02, 0.1, frames):
+        gamma = llr((rng.random(n) < p).astype(np.uint8), Bsc(p))
+        got = posterior_llrs(gamma, code, cfg)
+        want = posterior_llrs_reference(gamma, code, cfg)
+        assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
+        found.add(got[2])
+    assert found == {True, False}
+
+
+@pytest.mark.parametrize("gamma_last", [0.0, -0.0, 1.5, -1.5])
+def test_an_undecided_isolated_variable_runs_to_t_max(gamma_last):
+    # Variable 6 is in no check, so its belief is its LLR.  The word
+    # passes parity from the first iteration on, but a zero LLR leaves
+    # that bit undecided, and the frame runs to t_max.
+    code = ParityCheckMatrix(7, [[0, 1, 2], [2, 3, 4], [4, 5]])
+    gamma = np.array([1.0, 2.0, 0.5, 1.0, 3.0, 2.0, gamma_last])
+    cfg = BpConfig(t_max=12)
+    got = posterior_llrs(gamma, code, cfg)
+    want = posterior_llrs_reference(gamma, code, cfg)
+    assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
+    assert got[1:] == ((12, False) if gamma_last == 0.0 else (1, True))
 
 
 def tanh_halves(m, d, seed):

@@ -24,6 +24,7 @@ from oracles import (
     codebook,
     emit_alist_reference,
     interleaved_code,
+    is_codeword_reference,
     neighborhoods_by_loop,
     parse_alist_reference,
     var_neighborhoods,
@@ -655,6 +656,37 @@ class TestIsCodeword:
         h = ParityCheckMatrix.from_dense([[1, 1, 1, 1]])
         assert is_codeword(h, np.array([1, 1, 0, 0], dtype=dtype))
         assert not is_codeword(h, np.array([1, 0, 0, 0], dtype=dtype))
+
+    def test_verdicts_and_errors_match_the_reference(self):
+        # Bool words skip the 0/1 scan and the copy; every word gets the
+        # old verdict or the old error, of the same type and message.
+        code = interleaved_code(20, 12, seed=1)
+        h = code.to_dense().astype(np.int64)
+        rng = np.random.default_rng(6)
+        words = [*codebook(h)[1:6], *rng.integers(0, 2, (6, 20))]
+        cases = []
+        for w in words:
+            cases += [w.astype(dtype) for dtype in
+                      (bool, np.uint8, np.uint16, np.int8, np.int64, np.float32, float, object)]
+            cases += [w.tolist(), w[:-1] > 0, np.append(w, 0).astype(bool), w[None] > 0]
+            for bad in (2, -1, 0.5, np.nan, np.inf, None):
+                x = w.astype(object if bad is None else np.asarray(bad).dtype)
+                x[3] = bad
+                cases.append(x)
+        verdicts = set()
+        for x in cases:
+            want, got = (self.outcome(f, code, x) for f in (is_codeword_reference, is_codeword))
+            assert got == want, x
+            verdicts.add(want if isinstance(want, bool) else want[1])
+        assert verdicts == {True, False, "expected a length-20 vector",
+                            "codeword entries must be 0 or 1"}
+
+    @staticmethod
+    def outcome(f, code, x):
+        try:
+            return f(code, x)
+        except Exception as e:  # noqa: BLE001 - the type and message are compared
+            return type(e), str(e)
 
 
 @pytest.mark.parametrize("decoder", [decode, decode_bp, decode_dual_ascent])

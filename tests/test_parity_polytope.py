@@ -243,6 +243,29 @@ class TestProjection:
             zs = np.array([project_parity_polytope(u) for u in mats])
             assert np.abs(zb - zs).max() <= 1e-9
 
+    def test_rows_just_outside_a_facet_are_projected_not_clipped(self):
+        # With w > 0 summing to 1 and each w_i < 1/2, x = 1 - w on an odd
+        # set theta and w off it lies on theta's facet, sum_theta (1 - x)
+        # + sum_off x = 1, and in the polytope: moving two coordinates
+        # between theta and its complement adds 2 - 2 (w_i + w_j) > 0.
+        # Pushed 1e-7 along the facet's unit normal, the row is outside
+        # the polytope but inside the unit box, and projects back onto x.
+        rng = np.random.default_rng(12)
+        for d in range(3, 13):
+            for size in range(1, d + 1, 2):
+                w = rng.uniform(1.0, 1.5, d)
+                w /= w.sum()
+                theta = np.zeros(d, dtype=bool)
+                theta[rng.choice(d, size, replace=False)] = True
+                x = np.where(theta, 1.0 - w, w)
+                u = x + 1e-7 / math.sqrt(d) * np.where(theta, 1.0, -1.0)
+                assert not membership(u)
+                ws = ProjectionWorkspace()
+                z = project_parity_polytope(u, ws)
+                assert (ws.r, ws.beta_opt > 0.0) == (size - 1, True)
+                assert np.abs(z - x).max() <= 1e-12
+                assert np.abs(z - project_batch(u[None])[0]).max() <= 1e-12
+
     def test_output_in_polytope_and_idempotent(self):
         rng = np.random.default_rng(4)
         for _ in range(500):

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import re
 import tracemalloc
@@ -350,6 +351,30 @@ class TestSweep:
             "bit_errors,wer,ber,avg_iters_all,avg_iters_correct,avg_iters_err,"
             "avg_time_all_s,avg_time_correct_s,avg_time_err_s,ml_errors,seed\n"
         )
+
+    def test_csv_averages_match_their_definitions(self):
+        # Every denominator differs (20 trials, 16 correct, 4 errors), so a
+        # column divided by the wrong count fails here.
+        stats = simulator.TrialStats(
+            "admm", "bsc", 0.05, seed=3, n_vars=48, rate=0.5, trials=20, word_errors=4,
+            bit_errors=12, iter_sum_correct=80, iter_sum_erroneous=400,
+            time_sum_correct=0.8, time_sum_erroneous=2.0, ml_errors=1)
+        want = {"wer": 4 / 20, "ber": 12 / (20 * 48), "avg_iters_all": 480 / 20,
+                "avg_iters_correct": 80 / 16, "avg_iters_err": 400 / 4,
+                "avg_time_all_s": 2.8 / 20, "avg_time_correct_s": 0.8 / 16,
+                "avg_time_err_s": 2.0 / 4}
+        for timing in (True, False):
+            (row,) = csv.DictReader(stats_to_csv([stats], timing=timing).splitlines())
+            for column, value in want.items():
+                if timing or "time" not in column:
+                    assert float(row[column]) == pytest.approx(value, rel=1e-6), column
+                else:
+                    assert row[column] == "", column
+        # A split with no frames leaves its averages empty.
+        for errors, empty in ((0, "avg_iters_err"), (20, "avg_iters_correct")):
+            split = dataclasses.replace(stats, word_errors=errors)
+            (row,) = csv.DictReader(stats_to_csv([split]).splitlines())
+            assert row[empty] == "" and row[empty.replace("iters", "time") + "_s"] == ""
 
     def test_csv_shape_and_significant_digits(self):
         code = gen_regular_ldpc(32, 3, 6, seed=1)
