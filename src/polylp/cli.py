@@ -23,7 +23,7 @@ import numpy as np
 from .admm_decoder import AdmmConfig, DecodeOutput
 from .bp_decoder import BpConfig
 from .channels import Awgn, Bsc, ChannelModel
-from .codes import CodeGenerationError, check_llrs, gen_regular_ldpc, emit_alist, parse_alist
+from .codes import check_llrs, gen_regular_ldpc, emit_alist, parse_alist
 from .dual_ascent import DualAscentConfig
 from .parity_polytope import ProjectionWorkspace, project_parity_polytope
 from .simulator import DECODERS, DecoderRef, check_run_args, stats_to_csv, sweep
@@ -179,10 +179,6 @@ def _cmd_gen_code(args: argparse.Namespace) -> int:
         code = gen_regular_ldpc(args.n, args.dv, args.dc, args.seed)
     except ValueError as exc:
         raise _flag_error(exc) from exc
-    except CodeGenerationError as exc:
-        if args.dc <= args.n:
-            raise
-        raise UsageError(f"--dc must be at most --n, got {args.dc} > {args.n}: {exc}") from exc
     _write(emit_alist(code), args.out)
     return 0
 

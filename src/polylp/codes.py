@@ -12,7 +12,8 @@ import operator
 from contextlib import suppress
 from functools import cached_property
 from itertools import accumulate, chain, groupby, islice
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -30,13 +31,13 @@ class ParityCheckMatrix:
     """Sparse M x N parity-check matrix with degree and edge-group queries.
 
     Checks and variables are 0-based internally.  The matrix is stored as
-    one read-only CSR pair: ``edge_var`` lists the variable of each edge,
+    one CSR pair: ``edge_var`` lists the variable of each edge,
     edges grouped by check and sorted within it, and the edges of check
     ``j`` are ``check_ptr[j]:check_ptr[j+1]``.  Selecting the entries
     ``edge_var`` names from a length-N vector realizes the checks' gather
     operator, and summing onto the variables realizes its transpose.
     Instances are immutable after construction and safe to share across
-    workers.
+    workers: every table a code hands out is read-only.
     """
 
     def __init__(self, n_vars: int, check_neighborhoods: list[ArrayLike]):
@@ -72,12 +73,10 @@ class ParityCheckMatrix:
         )
         if fault:
             raise ValueError("check {} {}".format(*fault))
-        ptr = np.concatenate([[0], np.cumsum(sizes)])
-        flat.flags.writeable = ptr.flags.writeable = False
         self.n_vars = n_vars
         self.n_checks = sizes.size
-        self.edge_var: NDArray[np.int64] = flat
-        self.check_ptr: NDArray[np.int64] = ptr
+        self.edge_var: NDArray[np.int64] = _frozen(flat)
+        self.check_ptr: NDArray[np.int64] = _frozen(np.concatenate([[0], np.cumsum(sizes)]))
 
     @classmethod
     def _from_csr(cls, n_vars: int, flat: ArrayLike, sizes: ArrayLike) -> "ParityCheckMatrix":
@@ -102,42 +101,32 @@ class ParityCheckMatrix:
 
     @cached_property
     def check_degrees(self) -> NDArray[np.int64]:
-        return np.diff(self.check_ptr)
+        return _frozen(np.diff(self.check_ptr))
 
     @cached_property
     def var_degrees(self) -> NDArray[np.int64]:
-        return np.bincount(self.edge_var, minlength=self.n_vars)
+        return _frozen(np.bincount(self.edge_var, minlength=self.n_vars))
 
     @cached_property
     def var_divisor(self) -> NDArray[np.float64]:
         """Variable degrees as floats, with 1 in place of 0."""
-        div = np.maximum(self.var_degrees, 1).astype(float)
-        div.flags.writeable = False
-        return div
+        return _frozen(np.maximum(self.var_degrees, 1).astype(float))
 
     @cached_property
     def isolated_vars(self) -> NDArray[np.int64]:
         """Indices of the variables that are in no check."""
-        idx = np.flatnonzero(self.var_degrees == 0)
-        idx.flags.writeable = False
-        return idx
+        return _frozen(np.flatnonzero(self.var_degrees == 0))
 
     @property
     def n_edges(self) -> int:
         return self.edge_var.size
 
     @cached_property
-    def checks_by_degree(self) -> dict[int, NDArray[np.int64]]:
+    def checks_by_degree(self) -> Mapping[int, NDArray[np.int64]]:
         """Edge-index matrix of shape (m_d, d) for each distinct degree d."""
-        groups: dict[int, NDArray[np.int64]] = {}
-        degs = self.check_degrees
-        ptr = self.check_ptr
-        for d in np.unique(degs):
-            js = np.flatnonzero(degs == d)
-            rows = ptr[js][:, None] + np.arange(int(d))[None, :]
-            rows.flags.writeable = False
-            groups[int(d)] = rows
-        return groups
+        degs, starts = self.check_degrees, self.check_ptr[:-1]
+        return MappingProxyType({int(d): _frozen(starts[degs == d][:, None] + np.arange(int(d)))
+                                 for d in np.unique(degs)})
 
     def map_checks(
         self,
@@ -167,12 +156,8 @@ class ParityCheckMatrix:
     def check_columns(self) -> tuple[NDArray[np.int64], ...]:
         """Variable indices of each degree group as a C-ordered (d, m_d)
         array: column j lists the variables of the group's j-th check."""
-        cols = []
-        for rows in self.checks_by_degree.values():
-            c = self.edge_var[rows].T.copy()
-            c.flags.writeable = False
-            cols.append(c)
-        return tuple(cols)
+        return tuple(_frozen(self.edge_var[rows].T.copy())
+                     for rows in self.checks_by_degree.values())
 
     @property
     def design_rate(self) -> float:
@@ -200,6 +185,12 @@ class ParityCheckMatrix:
         if np.ravel(check_ptr)[:1].any():
             raise ValueError("check pointers do not match the edges")
         self._set_csr(n_vars, edge_var, np.diff(check_ptr))
+
+
+def _frozen(a: NDArray) -> NDArray:
+    """``a``, made read-only: no table a code builds changes after it is built."""
+    a.flags.writeable = False
+    return a
 
 
 def _index_array(nb: ArrayLike) -> NDArray | None:
@@ -394,7 +385,8 @@ def gen_regular_ldpc(n: int, var_deg: int, check_deg: int, seed: int) -> ParityC
     Variable sockets are permuted and dealt to checks; draws with parallel
     edges are rejected and resampled, up to ``_GEN_ATTEMPTS`` times.  Short
     cycles other than parallel edges are kept.  Deterministic per seed.  A
-    check degree above ``n`` forces a parallel edge and raises at once.
+    check degree above ``n`` forces a parallel edge, so it is a
+    ``ValueError`` like the other size rules, raised before any draw.
     """
     for name, value, least in (("n", n, 1), ("var_deg", var_deg, 1), ("check_deg", check_deg, 1),
                                ("seed", seed, 0)):
@@ -402,8 +394,7 @@ def gen_regular_ldpc(n: int, var_deg: int, check_deg: int, seed: int) -> ParityC
     if (n * var_deg) % check_deg != 0:
         raise ValueError("n * var_deg must be divisible by check_deg")
     if check_deg > n:  # equivalently, var_deg > m
-        raise CodeGenerationError(f"a check of degree {check_deg} over {n} variables must have "
-                                  "a parallel edge, so no draw can succeed")
+        raise ValueError(f"check_deg must be at most n, got {check_deg} > {n}")
     m = (n * var_deg) // check_deg
     rng = np.random.default_rng(seed)
     sockets = np.repeat(np.arange(n), var_deg)

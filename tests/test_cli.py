@@ -63,6 +63,14 @@ class TestGenCode:
         assert "--dc must be at most --n" in res.stderr
         assert not out.exists()
 
+    def test_draw_budget_running_out_is_runtime_error(self, tmp_path):
+        # The flags are valid, but every draw has a parallel edge.
+        out = tmp_path / "code.alist"
+        res = run_cli("gen-code", "--n", "6", "--dv", "6", "--dc", "6", "--out", str(out))
+        assert res.returncode == 2
+        assert "1000 attempts" in res.stderr
+        assert not out.exists()
+
     def test_negative_seed_is_usage_error(self, tmp_path):
         out = tmp_path / "code.alist"
         res = run_cli("gen-code", "--n", "24", "--dv", "3", "--dc", "6",
@@ -92,6 +100,11 @@ class TestProject:
     def test_empty_input_is_runtime_error(self):
         res = run_cli("project", stdin="")
         assert res.returncode == 2
+
+    def test_non_numeric_input_is_runtime_error(self):
+        res = run_cli("project", stdin="1 x 0")
+        assert res.returncode == 2
+        assert "cannot parse input vector" in res.stderr
 
 
 class TestDecode:
@@ -243,12 +256,14 @@ class TestSimulate:
         assert res.returncode == 1
         assert "snr_db = 3100.0 dB" in res.stderr
 
-    @pytest.mark.parametrize("points", [",", ""])
-    def test_points_without_a_value_is_usage_error(self, code_file, points):
+    @pytest.mark.parametrize("points, message", [
+        (",", "--points"), ("", "--points"), ("0.05,abc", "cannot parse --points"),
+    ], ids=[",", "", "0.05,abc"])
+    def test_points_without_a_value_is_usage_error(self, code_file, points, message):
         res = run_cli("simulate", "--code", str(code_file), "--channel", "bsc",
                       "--points", points, "--trials", "4")
         assert res.returncode == 1
-        assert "--points" in res.stderr
+        assert message in res.stderr
         assert res.stdout == ""
 
     def test_needs_exactly_one_budget(self, code_file):

@@ -388,7 +388,15 @@ class TestParityCheckMatrix:
     def test_pickle_round_trip_decodes_the_same(self, code):
         again = pickle.loads(pickle.dumps(code))
         assert again == code and again is not code
-        assert not again.edge_var.flags.writeable and not again.check_ptr.flags.writeable
+        # Every table the code hands out refuses a write, on both copies.
+        for c in (code, again):
+            tables = {name: getattr(c, name) for name in ("edge_var", "check_ptr", "check_degrees",
+                      "var_degrees", "var_divisor", "isolated_vars")}
+            tables.update({f"checks_by_degree[{d}]": a for d, a in c.checks_by_degree.items()})
+            tables.update({f"check_columns[{i}]": a for i, a in enumerate(c.check_columns)})
+            assert [name for name, a in tables.items() if a.flags.writeable] == []
+            with pytest.raises(TypeError):
+                c.checks_by_degree[1] = c.check_ptr
         gammas = np.random.default_rng(5).normal(1.5, 1.5, size=(3, code.n_vars))
         for decoder in (decode, decode_bp, decode_dual_ascent):
             for gamma in gammas:
@@ -592,9 +600,15 @@ class TestGenRegular:
     def test_generation_failure_bounded(self):
         # A check of degree above n cannot avoid parallel edges, so no draw is made.
         for n, var_deg, check_deg in [(2, 3, 6), (4, 4, 8), (3, 4, 6)]:
-            message = f"a check of degree {check_deg} over {n} variables must have a parallel edge"
-            with pytest.raises(CodeGenerationError, match=message):
+            message = f"check_deg must be at most n, got {check_deg} > {n}"
+            with pytest.raises(ValueError, match=message):
                 gen_regular_ldpc(n, var_deg, check_deg, seed=0)
+
+    def test_draw_budget_runs_out(self):
+        # Six checks over six variables must each hold all six, which a
+        # draw almost never deals: every one of the draws is rejected.
+        with pytest.raises(CodeGenerationError, match="in 1000 attempts"):
+            gen_regular_ldpc(6, 6, 6, seed=0)
 
     @pytest.mark.parametrize(
         "n, digest",
