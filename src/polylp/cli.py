@@ -163,14 +163,16 @@ def _decoder_ref(algo: str, args: argparse.Namespace) -> DecoderRef:
         configs = {name: cls(**{f.name: getattr(args, f.name) for f in fields(cls)
                                 if hasattr(args, f.name)}) for name, cls in DECODERS.items()}
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise _flag_error(exc) from exc
     return DecoderRef(algo, configs[algo])
 
 
 def _flag_error(exc: ValueError) -> UsageError:
     """``exc`` as a usage error that names each argument by its flag."""
     flags = dict(n_trials="--trials", target_errors="--target-errors", max_trials="--max-trials",
-                 seed="--seed", n="--n", var_deg="--dv", check_deg="--dc")
+                 seed="--seed", n="--n", var_deg="--dv", check_deg="--dc", mu="--mu",
+                 epsilon="--epsilon", t_max="--tmax", rho="--rho", step="--step",
+                 llr_clip="--llr-clip")
     return UsageError(re.sub(r"\w+", lambda m: flags.get(m[0], m[0]), str(exc)))
 
 

@@ -141,8 +141,7 @@ def project_batch(values: ArrayLike) -> NDArray[np.float64]:
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 2 or vals.shape[1] == 0:
         raise ValueError("project_batch expects an (m, d) array with d >= 1")
-    # A finite sum has only finite terms; a non-finite one may be an overflow.
-    if not math.isfinite(vals.sum()) and not np.isfinite(vals).all():
+    if not np.isfinite(vals).all():
         raise ValueError("projection input must be finite")
     d = vals.shape[1]
     if d == 1:

@@ -13,6 +13,12 @@ from polylp.simulator import DECODERS
 CLI = [sys.executable, "-m", "polylp.cli"]
 
 
+def frame(negated=(), value=1):
+    """An inline --llr vector for the 24-bit test code: -1 on the
+    ``negated`` bits and ``value`` on the others."""
+    return " ".join("-1" if i in negated else str(value) for i in range(24))
+
+
 def run_cli(*args, stdin=None):
     return subprocess.run(
         CLI + list(args), input=stdin, capture_output=True, text=True, timeout=300
@@ -60,7 +66,7 @@ class TestGenCode:
         out = tmp_path / "code.alist"
         res = run_cli("gen-code", "--n", "2", "--dv", "3", "--dc", "6", "--out", str(out))
         assert res.returncode == 1
-        assert "--dc must be at most --n" in res.stderr
+        assert "--dc must be at most --n, got 6 > 2" in res.stderr
         assert not out.exists()
 
     def test_draw_budget_running_out_is_runtime_error(self, tmp_path):
@@ -90,12 +96,15 @@ class TestGenCode:
 
 
 class TestProject:
-    def test_reference_vector(self):
-        res = run_cli("project", stdin="1 0 0")
+    # Both points lie outside the polytope, so the projection solves for beta.
+    @pytest.mark.parametrize("u, z, r", [
+        ("1 0 0", "0.666666666667 0.333333333333 0.333333333333", 0),
+        ("1 1 1", "0.666666666667 0.666666666667 0.666666666667", 2),
+    ], ids=["1 0 0", "1 1 1"])
+    def test_reference_vector(self, u, z, r):
+        res = run_cli("project", stdin=u)
         assert res.returncode == 0
-        assert "0.666666666667 0.333333333333 0.333333333333" in res.stdout
-        assert "beta_opt 0.333333333333" in res.stdout
-        assert "r 0" in res.stdout
+        assert res.stdout == f"{z}\nbeta_opt 0.333333333333\nr {r}\n"
 
     def test_empty_input_is_runtime_error(self):
         res = run_cli("project", stdin="")
@@ -118,6 +127,32 @@ class TestDecode:
         assert record["hard_decision"] == [0] * 24
         assert record["ml_certificate"] is True
 
+    # Status, iteration count, hard decision and certificate of seeded
+    # decodes; x is not pinned, since its last digits may move.
+    @pytest.mark.parametrize("algo, flags, llr, status, iterations, ones, certified", [
+        # Bits 0, 5 and 19 negated: ADMM ends certified on the ML codeword.
+        ("admm", [], frame((0, 5, 19)), "Converged", 11, {0, 1, 5, 19}, True),
+        # Bits 0 and 5 negated: BP's loop, with its per-iteration codeword
+        # test, ends on the all-zero word.  BP never certifies.
+        ("bp", [], frame((0, 5), value=2), "Converged", 2, set(), False),
+        # All-zero LLRs: the all-zero hard decision passes parity from the
+        # first iteration, but its bits stay undecided, so BP runs to t_max.
+        ("bp", ["--tmax", "40"], frame(value=0), "MaxIters", 40, set(), False),
+        # A clean frame: dual ascent reaches consensus at once.
+        ("dual-ascent", [], frame(), "Converged", 1, set(), True),
+        # Bits 19 and 22 negated: dual ascent runs to t_max on the all-zero
+        # word, which ties for ML; cut off there, it is not certified.
+        ("dual-ascent", [], frame((19, 22)), "MaxIters", 1000, set(), False),
+    ], ids=["admm-noisy", "bp-noisy", "bp-zero-llrs", "dual-ascent-clean", "dual-ascent-tie"])
+    def test_pinned_decodes(self, code_file, algo, flags, llr, status, iterations,
+                            ones, certified):
+        res = run_cli("decode", "--code", str(code_file), "--algo", algo, *flags, "--llr", llr)
+        assert res.returncode == 0
+        record = json.loads(res.stdout)
+        got = (record["status"], record["iterations"], record["hard_decision"],
+               record["ml_certificate"])
+        assert got == (status, iterations, [int(i in ones) for i in range(24)], certified)
+
     def test_llr_from_file(self, code_file, tmp_path):
         llr_path = tmp_path / "llr.txt"
         llr_path.write_text("\n".join(["0.5"] * 24))
@@ -135,11 +170,15 @@ class TestDecode:
         res = run_cli("decode", "--code", "x", "--llr", "1", "--frobnicate")
         assert res.returncode == 1
 
-    def test_bad_flag_value_is_usage_error(self, code_file):
-        res = run_cli("decode", "--code", str(code_file), "--llr",
-                      " ".join(["1"] * 24), "--mu", "-3")
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--mu", "-3", "--mu must be positive and finite, got -3.0"),
+        ("--tmax", "0", "--tmax must be at least 1, got 0"),
+        ("--rho", "2", "--rho must be in [1, 2)"),
+    ], ids=["mu", "tmax", "rho"])
+    def test_bad_flag_value_is_usage_error(self, code_file, flag, value, message):
+        res = run_cli("decode", "--code", str(code_file), "--llr", frame(), flag, value)
         assert res.returncode == 1
-        assert "mu" in res.stderr
+        assert message in res.stderr
 
     def test_wrong_llr_length(self, code_file):
         res = run_cli("decode", "--code", str(code_file), "--llr", "1 2 3")
@@ -163,7 +202,8 @@ class TestDecode:
         res = run_cli("decode", "--code", str(code_file), "--llr", " ".join(["1"] * 24),
                       "--algo", algo, flag, value)
         assert res.returncode == 1
-        assert f"{flag[2:].replace('-', '_')} must be positive and finite" in res.stderr
+        assert f"{flag} must be positive and finite" in res.stderr
+
 
     def test_defaults_in_help(self):
         res = run_cli("decode", "--help")
@@ -225,7 +265,7 @@ class TestConfigFile:
         res = run_cli("decode", "--code", str(code_file), "--llr",
                       " ".join(["1"] * 24), "--config", str(cfg))
         assert res.returncode == 1
-        assert "llr_clip must be positive" in res.stderr
+        assert "--llr-clip must be positive" in res.stderr
 
     @pytest.mark.parametrize("algo", list(DECODERS))
     def test_decoder_defaults_are_config_defaults(self, algo):
@@ -287,6 +327,19 @@ class TestSimulate:
         assert res.returncode == 1
         assert "--rate applies to --channel awgn only" in res.stderr
         assert res.stdout == ""
+
+    # A target-errors pool stops mid-wave, and each pooled BP chunk
+    # unpickles the code; either must write the serial sweep's CSV.
+    @pytest.mark.parametrize("flags", [
+        ["--points", "0.05,0.08", "--target-errors", "5"],
+        ["--points", "0.03,0.05", "--decoder", "bp", "--trials", "64"],
+    ], ids=["target-errors", "bp"])
+    def test_pooled_sweep_writes_the_serial_csv(self, code_file, flags):
+        args = ("simulate", "--code", str(code_file), "--channel", "bsc", *flags, "--no-timing")
+        a = run_cli(*args, "--workers", "1")
+        b = run_cli(*args, "--workers", "2")
+        assert a.returncode == 0
+        assert a.stdout == b.stdout
 
     def test_awgn_sweep_with_env_workers(self, code_file):
         import os

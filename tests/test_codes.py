@@ -611,16 +611,23 @@ class TestGenRegular:
             gen_regular_ldpc(6, 6, 6, seed=0)
 
     @pytest.mark.parametrize(
-        "n, digest",
-        [(24, "b05e54c7729256637b7552ed1d4105bbaa5bd4cba2c8a98f634304facac632c3"),
-         (96, "a3d8efcdf6da5f861e21b7d0e8bf73ce4e85588af3c129d36748c58518c82816"),
-         (1002, "bbab66aa817723d0f9fbcaed41b5b2977c8473e49dffc76920ebef3f9ad48a0f")],
+        "n, digest, alist_digest",
+        [(24, "b05e54c7729256637b7552ed1d4105bbaa5bd4cba2c8a98f634304facac632c3",
+          "4d5305b5a9b7133f53c6cee8e3db6ffec8f40a37b4bccbf91bb442be07dd39c3"),
+         (96, "a3d8efcdf6da5f861e21b7d0e8bf73ce4e85588af3c129d36748c58518c82816",
+          "4b7f95d4790aa3471d0e02014b74a2c99d9e007307cfe5432f03a3d6b3b17a82"),
+         (1002, "bbab66aa817723d0f9fbcaed41b5b2977c8473e49dffc76920ebef3f9ad48a0f",
+          "9ec27185cd84778b8f29fc70ba02270a2b5c3a5d6bbc76393481864eea87b8ba")],
+        ids=["24", "96", "1002"],
     )
-    def test_seeded_codes_are_pinned(self, n, digest):
-        # The CI smoke code and perfbench's two regular codes: a change to
-        # the draws or to the parallel-edge test would move these digests.
-        edge_var = gen_regular_ldpc(n, 3, 6, seed=7).edge_var
-        assert hashlib.sha256(edge_var.astype("<i8").tobytes()).hexdigest() == digest
+    def test_seeded_codes_are_pinned(self, n, digest, alist_digest):
+        # The CLI tests' code and perfbench's two regular codes: a change to
+        # the draws or to the parallel-edge test would move the first digest,
+        # and a change to the alist writer the second (`polylp gen-code
+        # --seed 7` writes this text).
+        code = gen_regular_ldpc(n, 3, 6, seed=7)
+        assert hashlib.sha256(code.edge_var.astype("<i8").tobytes()).hexdigest() == digest
+        assert hashlib.sha256(emit_alist(code).encode()).hexdigest() == alist_digest
 
     def test_emit_parse_round_trip(self):
         code = gen_regular_ldpc(48, 3, 6, seed=3)

@@ -303,11 +303,13 @@ class TestMlAccount:
 
 
 class TestSweep:
-    def test_worker_count_invariance(self):
+    # Each pooled chunk unpickles the code and binds the decoder anew, BP's as ADMM's.
+    @pytest.mark.parametrize("ref", [ADMM_FAST, DecoderRef("bp")], ids=["admm", "bp"])
+    def test_worker_count_invariance(self, ref):
         code = gen_regular_ldpc(32, 3, 6, seed=1)
         points = [Bsc(0.03), Bsc(0.08)]
-        a = sweep(code, points, ADMM_FAST, n_trials=60, seed=8, workers=1)
-        b = sweep(code, points, ADMM_FAST, n_trials=60, seed=8, workers=3)
+        a = sweep(code, points, ref, n_trials=60, seed=8, workers=1)
+        b = sweep(code, points, ref, n_trials=60, seed=8, workers=3)
         assert stats_to_csv(a, timing=False) == stats_to_csv(b, timing=False)
 
     @staticmethod
