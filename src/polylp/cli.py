@@ -59,14 +59,6 @@ def _config_flags(path: str) -> list[str]:
     return flags
 
 
-def _default_workers() -> int:
-    text = os.environ.get("POLYLP_WORKERS", "1")
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"POLYLP_WORKERS must be an integer, got {text!r}") from None
-
-
 def _add_decoder_flags(p: argparse.ArgumentParser) -> None:
     # Defaults come from the decoder configs; --tmax is shared, and every
     # config defaults it alike.
@@ -139,8 +131,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-trials", type=int, default=1_000_000,
                    help="trial ceiling in target-errors mode")
     p.add_argument("--seed", type=int, default=0, help="sweep seed")
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel workers (default: POLYLP_WORKERS or 1)")
+    p.add_argument("--workers", type=int, default=1, help="parallel workers")
     p.add_argument("--timing", action=argparse.BooleanOptionalAction, default=True,
                    help="include wall-time columns in the CSV")
     p.add_argument("--out", help="CSV output path (default stdout)")
@@ -170,8 +161,8 @@ def _decoder_ref(algo: str, args: argparse.Namespace) -> DecoderRef:
 def _flag_error(exc: ValueError) -> UsageError:
     """``exc`` as a usage error that names each argument by its flag."""
     flags = dict(n_trials="--trials", target_errors="--target-errors", max_trials="--max-trials",
-                 seed="--seed", n="--n", var_deg="--dv", check_deg="--dc", mu="--mu",
-                 epsilon="--epsilon", t_max="--tmax", rho="--rho", step="--step",
+                 workers="--workers", seed="--seed", n="--n", var_deg="--dv", check_deg="--dc",
+                 mu="--mu", epsilon="--epsilon", t_max="--tmax", rho="--rho", step="--step",
                  llr_clip="--llr-clip")
     return UsageError(re.sub(r"\w+", lambda m: flags.get(m[0], m[0]), str(exc)))
 
@@ -245,11 +236,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         ]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    workers = args.workers if args.workers is not None else _default_workers()
     try:
-        check_run_args(args.trials, args.target_errors, args.max_trials, workers, args.seed)
+        check_run_args(args.trials, args.target_errors, args.max_trials, args.workers, args.seed)
     except ValueError as exc:
-        # workers keeps its name: it may come from POLYLP_WORKERS.
         raise _flag_error(exc) from exc
     ref = _decoder_ref(args.decoder, args)
     stats = sweep(
@@ -260,7 +249,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         target_errors=args.target_errors,
         max_trials=args.max_trials,
         seed=args.seed,
-        workers=workers,
+        workers=args.workers,
     )
     _write(stats_to_csv(stats, timing=args.timing), args.out)
     return 0

@@ -102,7 +102,10 @@ def project_parity_polytope(
             f = np.ones(d)
             f[r + 1 :] = -1.0
             starts = np.sort(np.concatenate([v[: r + 1] - 1.0, -v[r + 1 :]]))
-            ratios = (1.0 + np.cumsum(starts)) / np.arange(1, d + 1)
+            # Every start exceeds -1, so huge entries can overflow the scan only
+            # to +inf, which never undercuts the finite k = 1 ratio 1 + s_1.
+            with np.errstate(over="ignore"):
+                ratios = (1.0 + np.cumsum(starts)) / np.arange(1, d + 1)
             beta_opt = max(float(ratios.min()), 0.0)
             # PP_1 = {0}; the threshold would leave (v - 1) + 1 - v.
             z_sorted = np.zeros(1) if d == 1 else np.clip(v - beta_opt * f, 0.0, 1.0)

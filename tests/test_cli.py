@@ -96,15 +96,19 @@ class TestGenCode:
 
 
 class TestProject:
-    # Both points lie outside the polytope, so the projection solves for beta.
-    @pytest.mark.parametrize("u, z, r", [
-        ("1 0 0", "0.666666666667 0.333333333333 0.333333333333", 0),
-        ("1 1 1", "0.666666666667 0.666666666667 0.666666666667", 2),
-    ], ids=["1 0 0", "1 1 1"])
-    def test_reference_vector(self, u, z, r):
+    # Every point lies outside the polytope, so the projection solves for
+    # beta; the last one's ramp starts overflow their running sum, which
+    # must not warn.
+    @pytest.mark.parametrize("u, z, beta_opt, r", [
+        ("1 0 0", "0.666666666667 0.333333333333 0.333333333333", "0.333333333333", 0),
+        ("1 1 1", "0.666666666667 0.666666666667 0.666666666667", "0.333333333333", 2),
+        ("1e308 1e308 0.5", "1 1 0", "0.5", 2),
+    ], ids=["1 0 0", "1 1 1", "1e308 1e308 0.5"])
+    def test_reference_vector(self, u, z, beta_opt, r):
         res = run_cli("project", stdin=u)
         assert res.returncode == 0
-        assert res.stdout == f"{z}\nbeta_opt 0.333333333333\nr {r}\n"
+        assert res.stdout == f"{z}\nbeta_opt {beta_opt}\nr {r}\n"
+        assert res.stderr == ""
 
     def test_empty_input_is_runtime_error(self):
         res = run_cli("project", stdin="")
@@ -328,41 +332,36 @@ class TestSimulate:
         assert "--rate applies to --channel awgn only" in res.stderr
         assert res.stdout == ""
 
-    # A target-errors pool stops mid-wave, and each pooled BP chunk
-    # unpickles the code; either must write the serial sweep's CSV.
+    # A target-errors pool stops mid-wave, each pooled BP chunk unpickles
+    # the code, and an AWGN pool draws Gaussian noise; each must write the
+    # serial sweep's CSV.
     @pytest.mark.parametrize("flags", [
-        ["--points", "0.05,0.08", "--target-errors", "5"],
-        ["--points", "0.03,0.05", "--decoder", "bp", "--trials", "64"],
-    ], ids=["target-errors", "bp"])
+        ["--channel", "bsc", "--points", "0.05,0.08", "--target-errors", "5"],
+        ["--channel", "bsc", "--points", "0.03,0.05", "--decoder", "bp", "--trials", "64"],
+        ["--channel", "awgn", "--points", "8.0", "--decoder", "admm", "--trials", "25",
+         "--seed", "1"],
+    ], ids=["target-errors", "bp", "awgn"])
     def test_pooled_sweep_writes_the_serial_csv(self, code_file, flags):
-        args = ("simulate", "--code", str(code_file), "--channel", "bsc", *flags, "--no-timing")
+        args = ("simulate", "--code", str(code_file), *flags, "--no-timing")
         a = run_cli(*args, "--workers", "1")
         b = run_cli(*args, "--workers", "2")
         assert a.returncode == 0
         assert a.stdout == b.stdout
 
-    def test_awgn_sweep_with_env_workers(self, code_file):
-        import os
-        env = dict(os.environ, POLYLP_WORKERS="2")
-        args = CLI + ["simulate", "--code", str(code_file), "--channel", "awgn",
-                      "--points", "8.0", "--decoder", "admm", "--trials", "25",
-                      "--seed", "1", "--no-timing"]
-        a = subprocess.run(args, env=env, capture_output=True, text=True, timeout=300)
-        b = run_cli(*args[3:])  # default single worker
-        assert a.returncode == 0
-        assert a.stdout == b.stdout
-        assert ",awgn,8," in a.stdout
-
-    @pytest.mark.parametrize("env_workers, flags", [("1", ["--workers", "0"]),
-                                                    ("0", [])])
-    def test_fewer_than_one_worker_is_usage_error(self, code_file, env_workers, flags):
-        import os
-        env = dict(os.environ, POLYLP_WORKERS=env_workers)
-        args = CLI + ["simulate", "--code", str(code_file), "--channel", "bsc",
-                      "--points", "0.02", "--trials", "5", *flags]
-        res = subprocess.run(args, env=env, capture_output=True, text=True, timeout=300)
+    # The worker count comes from --workers or a config file, never the
+    # environment; either way its error names the flag.
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_fewer_than_one_worker_is_usage_error(self, code_file, tmp_path, source):
+        flags = ["--workers", "0"]
+        if source == "config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("workers=0\n")
+            flags = ["--config", str(cfg)]
+        res = run_cli("simulate", "--code", str(code_file), "--channel", "bsc",
+                      "--points", "0.02", "--trials", "5", *flags)
         assert res.returncode == 1
-        assert "workers must be at least 1" in res.stderr
+        assert "--workers must be at least 1, got 0" in res.stderr
+        assert res.stdout == ""
 
     @pytest.mark.parametrize("flag", ["--trials", "--target-errors"])
     @pytest.mark.parametrize("value", ["0", "-3"])
@@ -386,12 +385,3 @@ class TestSimulate:
         assert res.returncode == 1
         assert "--seed must be at least 0, got -1" in res.stderr
         assert res.stdout == ""
-
-    def test_non_integer_env_workers_is_usage_error(self, code_file):
-        import os
-        env = dict(os.environ, POLYLP_WORKERS="abc")
-        args = CLI + ["simulate", "--code", str(code_file), "--channel", "bsc",
-                      "--points", "0.02", "--trials", "5"]
-        res = subprocess.run(args, env=env, capture_output=True, text=True, timeout=300)
-        assert res.returncode == 1
-        assert "POLYLP_WORKERS must be an integer" in res.stderr

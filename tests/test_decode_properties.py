@@ -12,7 +12,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polylp import STATUS_CONVERGED, ParityCheckMatrix, decode, decode_bp, decode_dual_ascent
+from polylp import (STATUS_CONVERGED, STATUS_MAX_ITERS, ParityCheckMatrix, decode, decode_bp,
+                    decode_dual_ascent)
 from polylp.admm_decoder import AdmmConfig
 from polylp.bp_decoder import BpConfig
 from polylp.dual_ascent import DualAscentConfig
@@ -26,6 +27,7 @@ FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=15
 ADMM = AdmmConfig(t_max=200)
 DECODERS = {"admm": partial(decode, config=ADMM),
             "dual-ascent": partial(decode_dual_ascent, config=DualAscentConfig(t_max=200))}
+BP = BpConfig(t_max=200)
 
 
 @st.composite
@@ -81,8 +83,22 @@ def test_x_in_unit_box_and_hard_decision_rounds_it(frame):
         assert out.integral == (np.abs(out.x - out.hard_decision).max() <= 1e-5), name
     # BP's x is a bit-1 probability; its hard decision is the belief's sign,
     # which rounding the probability need not reproduce at a belief near 0.
-    x = decode_bp(gamma, code, BpConfig(t_max=200)).x
+    x = decode_bp(gamma, code, BP).x
     assert ((x >= 0.0) & (x <= 1.0)).all()
+
+
+# BP has no certificate: it stops on a codeword hard decision with no
+# zero belief, or runs to t_max.
+@FIXED
+@given(frames())
+def test_bp_stops_on_a_codeword_or_at_t_max(frame):
+    code, gamma = frame
+    out = decode_bp(gamma, code, BP)
+    assert out.ml_certificate is False
+    if out.status == STATUS_CONVERGED:
+        assert (codebook(code.to_dense()) == out.hard_decision).all(axis=1).any()
+    else:
+        assert (out.status, out.iterations) == (STATUS_MAX_ITERS, BP.t_max)
 
 
 # Relabelling the checks is left out: it reorders the edges that x_update's

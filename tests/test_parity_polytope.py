@@ -223,6 +223,14 @@ class TestProjection:
                     ulp = np.spacing(max(1.0, np.abs(v[r : r + 2]).max()))
                     assert ws.beta_opt <= beta_max + 4 * ulp, (u, ws.beta_opt)
 
+    # The running sum of the ramp starts overflows to inf on this row.
+    @pytest.mark.filterwarnings("error")
+    def test_huge_entries_project_without_warning(self):
+        ws = ProjectionWorkspace()
+        z = project_parity_polytope(np.array([1e308, 1e308, 0.5]), ws)
+        assert z.tolist() == [1.0, 1.0, 0.0]
+        assert (ws.beta_opt, ws.r) == (0.5, 2)
+
     def test_march_equals_direct_on_adversarial_inputs(self):
         rng = np.random.default_rng(2)
         for _ in range(3000):
