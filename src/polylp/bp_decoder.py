@@ -71,6 +71,18 @@ def _check_node_update(
     return np.clip(2.0 * np.arctanh(prod), -clip, clip)
 
 
+def _p_one(beliefs: NDArray[np.float64]) -> NDArray[np.float64]:
+    # Stable sigmoid of -belief: probability that the bit is 1.
+    return 0.5 * (1.0 - np.tanh(0.5 * beliefs))
+
+
+def _all_decided(beliefs: NDArray[np.float64]) -> bool:
+    # A bit is undecided when its reported probability is exactly 1/2, which
+    # needs |belief| / 2 of at most 2**-53 (1 - tanh then rounds to 1), so the
+    # probabilities are computed only when some belief is below 1e-15.
+    return bool(np.abs(beliefs).min() >= 1e-15 or (_p_one(beliefs) != 0.5).all())
+
+
 def posterior_llrs(
     gamma: ArrayLike,
     code: ParityCheckMatrix,
@@ -80,7 +92,8 @@ def posterior_llrs(
 
     Beliefs are posterior LLRs in the channel convention.  The loop exits
     once the hard decision satisfies every check and each bit is strictly
-    decided (no exactly-zero belief).
+    decided: its reported probability is not exactly 1/2, as it is for a
+    zero belief and for one so small that ``1 - tanh(belief / 2)`` rounds to 1.
     """
     gamma = check_llrs(code, gamma)
     ev = code.edge_var
@@ -95,8 +108,8 @@ def posterior_llrs(
         c2v = _check_node_update(v2c, code, clip)
         beliefs = gamma + np.bincount(ev, weights=c2v, minlength=code.n_vars)
         # Parity fails on all but the last iteration of most frames, so it
-        # is tested first, and the zero-belief scan runs only once it holds.
-        if is_codeword(code, beliefs < 0.0) and (beliefs != 0.0).all():
+        # is tested first, and the undecided-bit scan runs only once it holds.
+        if is_codeword(code, beliefs < 0.0) and _all_decided(beliefs):
             found = True
             break
     return beliefs, t, found
@@ -109,8 +122,7 @@ def decode_bp(
 ) -> DecodeOutput:
     """Sum-product decode; soft outputs are posterior bit-1 probabilities."""
     beliefs, iterations, found = posterior_llrs(gamma, code, config)
-    # Stable sigmoid of -belief: probability that the bit is 1.
-    p_one = 0.5 * (1.0 - np.tanh(0.5 * beliefs))
+    p_one = _p_one(beliefs)
     hard = (beliefs < 0.0).astype(np.uint8)
     integral = bool((np.minimum(p_one, 1.0 - p_one) <= INTEGRALITY_TOL).all())
     return DecodeOutput(x=p_one, status=STATUS_CONVERGED if found else STATUS_MAX_ITERS,

@@ -159,7 +159,8 @@ def project_batch(values: ArrayLike) -> NDArray[np.float64]:
     # Slack of the facet theta: sum(min(z, 1 - z)) - 1, less the cost of
     # the parity fix when |theta| is even.
     cost = np.minimum(cols, 1.0 - cols)
-    odd = np.logical_xor.reduce(cols > 0.5, axis=0)
+    above = cols > 0.5
+    odd = np.logical_xor.reduce(above, axis=0)
     # numpy sums the columns of a (d, m) array with m >= 2 first row to
     # last, but a lone column pairwise once d >= 8; one fixed order keeps
     # each row's projection independent of the batch.
@@ -167,16 +168,22 @@ def project_batch(values: ArrayLike) -> NDArray[np.float64]:
     # The fix is 1 - 2 max(cost).  A rounded sum has the sign of the exact
     # sum and negation is exact, so the slack is negative iff total - 1 < -fix.
     total -= 1.0
-    neg_fix = 2.0 * cost.max(axis=0) - 1.0
+    top = cost.max(axis=0)
+    neg_fix = 2.0 * top - 1.0
     neg_fix[odd] = 0.0
     bad = (total < neg_fix).nonzero()[0]
     if bad.size == 0:
         return out
 
+    # theta, in the cut test's (d, m) layout: the entries above 1/2, with an
+    # even row's parity fixed at its costliest entry.  On a failing row that
+    # entry is unique: two costs at the top sum to at least 2 max, rounded or
+    # not, and the row would pass.
+    theta = cost == top
+    theta &= ~odd
+    theta ^= above
+    theta = theta.T.take(bad, axis=0)
     v = vals.take(bad, axis=0)
-    theta = v > 0.5
-    even = (~odd[bad]).nonzero()[0]
-    theta[even, cost.take(bad[even], axis=1).argmax(axis=0)] ^= True
     # On f_r (+1 on theta, -1 off it) the line value is |theta| minus unit
     # ramps clip(beta - s_i, 0, 1), s_i = v_i - 1 on theta and -v_i off it.
     # The first ramp saturates where their sum already reaches 1, so the

@@ -471,7 +471,9 @@ def posterior_llrs_reference(
 ) -> tuple[np.ndarray, int, bool]:
     """``bp_decoder.posterior_llrs`` as it was before it tested parity first,
     kept verbatim, with the codeword test above: the byte-for-byte
-    reference for the order of its stop tests."""
+    reference for the order of its stop tests.  It counts any nonzero
+    belief as decided; ``posterior_llrs`` also counts a belief within
+    ~2e-16 of 0, whose probability rounds to 1/2, as undecided."""
     gamma = check_llrs(code, gamma)
     ev = code.edge_var
     clip = config.llr_clip

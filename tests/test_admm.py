@@ -22,6 +22,7 @@ from polylp import (
     transmit,
 )
 from polylp import admm_decoder
+from polylp.parity_polytope import project_batch
 from polylp.admm_decoder import (INTEGRALITY_TOL, lambda_update, make_output, x_update,
                                  z_update)
 from oracles import (
@@ -71,27 +72,31 @@ class TestUpdateSteps:
 
     def test_z_update_member_is_fixed(self):
         zero = zeros(SINGLE_CHECK)
-        v = lambda_update(zero, CODEWORD_EDGES, zero, AdmmConfig(rho=1.0))
-        z = z_update(v, SINGLE_CHECK)
+        step = CODEWORD_EDGES - zero
+        v = lambda_update(zero, step, AdmmConfig(rho=1.0))
+        z = z_update(v, zero, step, SINGLE_CHECK)
         assert np.allclose(z, [1, 1, 0, 0], atol=1e-12)
 
     def test_z_update_projects(self):
         code = ParityCheckMatrix.from_dense([[1, 1, 1]])
         x = np.array([1.0, 0.0, 0.0])
-        v = lambda_update(zeros(code), x[code.edge_var], zeros(code), AdmmConfig(rho=1.0))
-        z = z_update(v, code)
+        step = x[code.edge_var] - zeros(code)
+        v = lambda_update(zeros(code), step, AdmmConfig(rho=1.0))
+        z = z_update(v, zeros(code), step, code)
         assert np.allclose(z, [2 / 3, 1 / 3, 1 / 3], atol=1e-9)
 
     def test_over_relaxation_inert_at_consensus(self):
         # z = x and lam = 0, so v = z + lam / mu = x too.
-        v = lambda_update(CODEWORD_EDGES, CODEWORD_EDGES, CODEWORD_EDGES, AdmmConfig(rho=1.9))
-        z = z_update(v, SINGLE_CHECK)
+        step = CODEWORD_EDGES - CODEWORD_EDGES
+        v = lambda_update(CODEWORD_EDGES, step, AdmmConfig(rho=1.9))
+        z = z_update(v, CODEWORD_EDGES, step, SINGLE_CHECK)
         assert np.allclose(z, [1, 1, 0, 0], atol=1e-12)
 
     def test_lambda_zero_residual(self):
         zero = zeros(SINGLE_CHECK)
-        v = lambda_update(zero, CODEWORD_EDGES, zero, AdmmConfig(rho=1.0))
-        z = z_update(v, SINGLE_CHECK)
+        step = CODEWORD_EDGES - zero
+        v = lambda_update(zero, step, AdmmConfig(rho=1.0))
+        z = z_update(v, zero, step, SINGLE_CHECK)
         assert np.allclose(v - z, 0.0, atol=1e-12)
 
     def test_lambda_arithmetic(self):
@@ -101,17 +106,19 @@ class TestUpdateSteps:
         cfg = AdmmConfig(mu=3.0, rho=1.0)
         z = np.array([0.5, 0.5, 0.5])
         x_edges = np.array([0.6, 0.4, 0.5])
+        step = x_edges - z
         # Read-only inputs: the step writes none of them.
-        z.flags.writeable = x_edges.flags.writeable = False
-        v = lambda_update(z, x_edges, z, cfg)
+        z.flags.writeable = step.flags.writeable = False
+        v = lambda_update(z, step, cfg)
         assert np.allclose(cfg.mu * (v - z), [0.3, -0.3, 0.0], atol=1e-12)
 
     def test_lambda_constant_across_consensus_iterations(self):
         z = v = zeros(SINGLE_CHECK)
         cfg = AdmmConfig(rho=1.0)
         for _ in range(2):
-            v = lambda_update(v, CODEWORD_EDGES, z, cfg)
-            z = z_update(v, SINGLE_CHECK)
+            step = CODEWORD_EDGES - z
+            v = lambda_update(v, step, cfg)
+            z = z_update(v, z, step, SINGLE_CHECK)
         assert np.allclose(v - z, 0.0, atol=1e-12)
 
 
@@ -198,8 +205,9 @@ class TestDecodeProperties:
         for t in range(1, cfg.t_max + 1):
             x = x_update(z, v, code, gamma / cfg.mu)
             gathered = x[code.edge_var]
-            v = lambda_update(v, gathered, z, cfg)
-            z_new = z_update(v, code)
+            step = gathered - z
+            v = lambda_update(v, step, cfg)
+            z_new = z_update(v, z, step, code)
             primal = float(((gathered - z_new) ** 2).sum())
             moved = float(((z_new - z) ** 2).sum())
             z = z_new
@@ -266,8 +274,9 @@ class TestDecodeProperties:
         # The phase functions carry v = z + lam / mu in place of lam.
         v0 = z0 + lam0 / cfg.mu
         x = x_update(z0, v0, code, gamma / cfg.mu)
-        v = lambda_update(v0, x[code.edge_var], z0, cfg)
-        z = z_update(v, code)
+        step = x[code.edge_var] - z0
+        v = lambda_update(v0, step, cfg)
+        z = z_update(v, z0, step, code)
         lam = cfg.mu * (v - z)
 
         # Message form: lam' = lam/mu; variable messages average the
@@ -365,6 +374,55 @@ class TestReferenceKernels:
             assert (a.status, a.iterations, a.integral, a.ml_certificate) == (
                 b.status, b.iterations, b.integral, b.ml_certificate)
             assert a.hard_decision.tobytes() == b.hard_decision.tobytes()
+
+
+class TestMovedChecksOnly:
+    """``z_update`` re-projects only the checks whose dual step is nonzero on
+    some edge; on every code that gives the bytes of projecting them all."""
+
+    CODES = {
+        "n96": gen_regular_ldpc(96, 3, 6, seed=7),
+        "n48": gen_regular_ldpc(48, 3, 6, seed=1),
+        "interleaved": interleaved_code(24, 14, seed=5),
+    }
+
+    @staticmethod
+    def frames(code):
+        # AWGN frames, and BSC frames noisy enough that some run to t_max.
+        rng = np.random.default_rng(30)
+        ch = Awgn(2.5, code.design_rate)
+        for _ in range(15):
+            yield llr(transmit(np.zeros(code.n_vars, np.uint8), ch, rng), ch)
+        for _ in range(15):
+            yield llr((rng.random(code.n_vars) < 0.1).astype(np.uint8), Bsc(0.1))
+
+    @pytest.mark.parametrize("name", CODES)
+    def test_both_paths_are_byte_identical(self, monkeypatch, name):
+        code = self.CODES[name]
+        cfg = AdmmConfig(t_max=150)
+        frames = list(self.frames(code))
+        rows = {}
+        outs = {}
+        for cut in (0, 10**9):
+            calls = []
+
+            def record(values):
+                calls.append(np.array(values))
+                return project_batch(values)
+
+            monkeypatch.setattr(admm_decoder, "_ACTIVE_SET_EDGES", cut)
+            monkeypatch.setattr(admm_decoder, "project_batch", record)
+            outs[cut] = [decode(gamma, code, cfg) for gamma in frames]
+            assert all(len(c) > 0 for c in calls), "project_batch got no rows"
+            assert not any(np.signbit(c[c == 0.0]).any() for c in calls), "v holds -0.0"
+            rows[cut] = sum(len(c) for c in calls)
+        # The selection is not vacuous: it skips rows.
+        assert rows[0] < rows[10**9]
+        assert {out.status for out in outs[0]} == {STATUS_CONVERGED, STATUS_MAX_ITERS}
+        for a, b in zip(outs[0], outs[10**9]):
+            assert a.x.tobytes() == b.x.tobytes()
+            assert (a.status, a.iterations, a.ml_certificate) == (
+                b.status, b.iterations, b.ml_certificate)
 
 
 class TestMakeOutput:
@@ -471,7 +529,8 @@ class TestInterleavedDegrees:
             z0 = rng.uniform(-0.5, 1.5, code.n_edges)
             u = rng.normal(0.0, 2.0, code.n_edges) / cfg.mu
             v = cfg.rho * x[code.edge_var] + (1.0 - cfg.rho) * z0 + u
-            z = z_update(lambda_update(z0 + u, x[code.edge_var], z0, cfg), code)
+            step = x[code.edge_var] - z0
+            z = z_update(lambda_update(z0 + u, step, cfg), z0, step, code)
             for j in range(code.n_checks):
                 sl = check_slice(code, j)
                 assert np.abs(z[sl] - project_parity_polytope(v[sl])).max() <= 1e-9

@@ -207,6 +207,24 @@ def test_an_undecided_isolated_variable_runs_to_t_max(gamma_last):
     assert got[1:] == ((12, False) if gamma_last == 0.0 else (1, True))
 
 
+@pytest.mark.parametrize("gamma", [[0.0, 0.0], [0.0, 1.8e-107]], ids=["zero", "tiny"])
+def test_a_bit_at_probability_one_half_is_undecided(gamma):
+    # A belief of 1.8e-107 is not 0, but 1 - tanh(belief / 2) rounds to 1,
+    # so the bit's reported probability is exactly 1/2, as for a zero belief.
+    out = decode_bp(np.array(gamma), ParityCheckMatrix.from_dense([[1, 1]]))
+    assert (out.status, out.iterations) == (STATUS_MAX_ITERS, BpConfig().t_max)
+    assert out.x.tolist() == [0.5, 0.5]
+
+
+def test_the_undecided_bit_shortcut_agrees_with_the_probabilities():
+    # Beliefs on both sides of the magnitude at which 1 - tanh(b / 2) leaves 1.
+    mags = np.geomspace(1e-18, 1e-13, 400)
+    for b in np.concatenate([mags, -mags, [0.0, -0.0, 5e-324, 1.0]]):
+        beliefs = np.array([3.0, b])
+        want = bool((0.5 * (1.0 - np.tanh(0.5 * beliefs)) != 0.5).all())
+        assert bp_decoder._all_decided(beliefs) == want
+
+
 def tanh_halves(m, d, seed):
     """tanh halves of (m, d) saturated messages, with exact zeros and -0.0."""
     rng = np.random.default_rng(seed)

@@ -88,7 +88,7 @@ def test_x_in_unit_box_and_hard_decision_rounds_it(frame):
 
 
 # BP has no certificate: it stops on a codeword hard decision with no
-# zero belief, or runs to t_max.
+# bit at probability exactly 1/2, or runs to t_max.
 @FIXED
 @given(frames())
 def test_bp_stops_on_a_codeword_or_at_t_max(frame):
@@ -97,6 +97,7 @@ def test_bp_stops_on_a_codeword_or_at_t_max(frame):
     assert out.ml_certificate is False
     if out.status == STATUS_CONVERGED:
         assert (codebook(code.to_dense()) == out.hard_decision).all(axis=1).any()
+        assert (out.x != 0.5).all()
     else:
         assert (out.status, out.iterations) == (STATUS_MAX_ITERS, BP.t_max)
 

@@ -326,6 +326,12 @@ class TestBatchKernelBytes:
         for values in calls:
             self.assert_same_bytes(values)
 
+    def test_decoder_inputs_hold_no_negative_zero(self):
+        # ADMM keeps a check's replicas when its dual step is zero, which
+        # leaves its projection input unchanged only if no entry is -0.0.
+        for values in decoder_projection_inputs():
+            assert not np.signbit(values[values == 0.0]).any()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("shape", [(5, 6), (1, 6), (5, 1)])
     def test_non_finite_entry_anywhere_rejected(self, bad, shape):
