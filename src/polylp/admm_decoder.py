@@ -6,17 +6,16 @@ scaled duals of Boyd et al. (2011, section 3.1.1) are ``u = v - z``.  An
 iteration averages ``2z - v = z - u`` into the variables (``x_update``),
 forms the dual step ``x - z`` on the edges once, moves ``v`` by ``rho``
 times it (``lambda_update``) and projects each check's rows of the new
-``v`` onto the parity polytope (``z_update``).  On codes of at least
-``_ACTIVE_SET_EDGES`` edges only the checks whose step is nonzero on some
-edge are projected again; every other check's ``v`` has not moved, so it
-keeps its ``z``, bit for bit.  It stops when the replicas have stopped
-moving and agree with the variables, both to a degree-normalized
-tolerance.
+``v`` onto the parity polytope (``z_update``).  On codes of one check
+degree and at least ``_ACTIVE_SET_EDGES`` edges only the checks whose
+step is nonzero on some edge are projected again; every other check's
+``v`` has not moved, so it keeps its ``z``, bit for bit.  It stops when
+the replicas have stopped moving and agree with the variables, both to a
+degree-normalized tolerance.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,7 +126,7 @@ def lambda_update(
 
 # Codes with fewer edges project every check each iteration: below it,
 # picking the moved checks costs more numpy calls than skipping the other
-# rows saves (the timings are in the README).
+# rows saves (the timings, on regular codes, are in the README).
 _ACTIVE_SET_EDGES = 2048
 
 
@@ -141,40 +140,25 @@ def z_update(
 
     ``z`` is the projection of the previous ``v``, and ``step`` the dual
     step that moved it.  A check whose step is zero on every edge kept its
-    ``v`` bit for bit (``v`` never holds -0.0), so on codes of at least
-    ``_ACTIVE_SET_EDGES`` edges it keeps its ``z``, and only the other
-    checks are projected again: ``project_batch`` gives each row the same
-    bytes whatever batch it is in.
+    ``v`` bit for bit (``v`` never holds -0.0), so on codes of one check
+    degree and at least ``_ACTIVE_SET_EDGES`` edges it keeps its ``z``, and
+    only the other checks are projected again: ``project_batch`` gives each
+    row the same bytes whatever batch it is in.  Codes of several check
+    degrees project every check.
     """
     # project_batch is looked up here on every call, so a wrapper put on
     # this module's name sees each projection.
-    if code.n_edges < _ACTIVE_SET_EDGES:
-        return code.map_checks(project_batch, v)
-    out = z.copy()
     groups = code.checks_by_degree
-    if len(groups) == 1:
-        (d,) = groups
-        moved = _nonzero_rows(step.reshape(-1, d))
-        if moved.size:
-            out.reshape(-1, d)[moved] = project_batch(v.reshape(-1, d).take(moved, axis=0))
-        return out
-    for rows in groups.values():
-        moved = rows.take(_nonzero_rows(step[rows]), axis=0)
-        if moved.size:
-            out[moved] = project_batch(v[moved])
-    return out
-
-
-@functools.cache
-def _ones(d: int) -> NDArray[np.float64]:
-    return np.ones(d)
-
-
-def _nonzero_rows(a: NDArray[np.float64]) -> NDArray[np.int64]:
-    """Indices of the rows of ``a`` with a nonzero entry."""
+    if code.n_edges < _ACTIVE_SET_EDGES or len(groups) != 1:
+        return code.map_checks(project_batch, v)
+    (d,) = groups
     # A sum of magnitudes is 0 only when each one is, in any order of
     # summation, and one matrix-vector product is cheaper than any(axis=1).
-    return np.abs(a).dot(_ones(a.shape[1])).nonzero()[0]
+    moved = np.abs(step.reshape(-1, d)).dot(np.ones(d)).nonzero()[0]
+    out = z.copy()
+    if moved.size:
+        out.reshape(-1, d)[moved] = project_batch(v.reshape(-1, d).take(moved, axis=0))
+    return out
 
 
 def decode(

@@ -76,13 +76,6 @@ def _p_one(beliefs: NDArray[np.float64]) -> NDArray[np.float64]:
     return 0.5 * (1.0 - np.tanh(0.5 * beliefs))
 
 
-def _all_decided(beliefs: NDArray[np.float64]) -> bool:
-    # A bit is undecided when its reported probability is exactly 1/2, which
-    # needs |belief| / 2 of at most 2**-53 (1 - tanh then rounds to 1), so the
-    # probabilities are computed only when some belief is below 1e-15.
-    return bool(np.abs(beliefs).min() >= 1e-15 or (_p_one(beliefs) != 0.5).all())
-
-
 def posterior_llrs(
     gamma: ArrayLike,
     code: ParityCheckMatrix,
@@ -109,7 +102,7 @@ def posterior_llrs(
         beliefs = gamma + np.bincount(ev, weights=c2v, minlength=code.n_vars)
         # Parity fails on all but the last iteration of most frames, so it
         # is tested first, and the undecided-bit scan runs only once it holds.
-        if is_codeword(code, beliefs < 0.0) and _all_decided(beliefs):
+        if is_codeword(code, beliefs < 0.0) and (_p_one(beliefs) != 0.5).all():
             found = True
             break
     return beliefs, t, found

@@ -216,15 +216,6 @@ def test_a_bit_at_probability_one_half_is_undecided(gamma):
     assert out.x.tolist() == [0.5, 0.5]
 
 
-def test_the_undecided_bit_shortcut_agrees_with_the_probabilities():
-    # Beliefs on both sides of the magnitude at which 1 - tanh(b / 2) leaves 1.
-    mags = np.geomspace(1e-18, 1e-13, 400)
-    for b in np.concatenate([mags, -mags, [0.0, -0.0, 5e-324, 1.0]]):
-        beliefs = np.array([3.0, b])
-        want = bool((0.5 * (1.0 - np.tanh(0.5 * beliefs)) != 0.5).all())
-        assert bp_decoder._all_decided(beliefs) == want
-
-
 def tanh_halves(m, d, seed):
     """tanh halves of (m, d) saturated messages, with exact zeros and -0.0."""
     rng = np.random.default_rng(seed)
