@@ -128,28 +128,26 @@ class ParityCheckMatrix:
         return MappingProxyType({int(d): _frozen(starts[degs == d][:, None] + np.arange(int(d)))
                                  for d in np.unique(degs)})
 
-    def map_checks(
-        self,
-        fn: Callable[[NDArray[np.float64]], NDArray],
-        v: NDArray[np.float64],
-    ) -> NDArray[np.float64]:
-        """Apply a row function to each degree group of an edge-flat ``v``.
+    def map_checks(self, fn: Callable[..., NDArray], *arrays: NDArray) -> NDArray:
+        """Apply a row function to each degree group of one or more edge-flat arrays.
 
-        ``fn`` maps a group's (m_d, d) rows, one check per row, to a new
-        array of that shape and must not write to its input; the result
-        is edge-flat with ``v``'s dtype.  A code with one check degree
-        hands ``fn`` all of ``v`` as an (m, d) view and returns its rows
-        without a scatter.
+        ``fn`` maps a group's (m_d, d) rows of each array, one check per
+        row, to a new array of that shape and must not write to its
+        inputs; the result is edge-flat with the first array's dtype.  A
+        code with one check degree hands ``fn`` each array whole as an
+        (m, d) view and returns its rows without a scatter.
         """
-        if v.shape != self.edge_var.shape:
-            raise ValueError(f"expected an edge-flat vector of length {self.edge_var.size}")
+        for a in arrays:
+            if a.shape != self.edge_var.shape:
+                raise ValueError(f"expected an edge-flat vector of length {self.edge_var.size}")
         groups = self.checks_by_degree
         if len(groups) == 1:
             (d,) = groups
-            return fn(v.reshape(-1, d)).reshape(-1).astype(v.dtype, copy=False)
-        out = np.empty_like(v)
+            out = fn(*[a.reshape(-1, d) for a in arrays])
+            return out.reshape(-1).astype(arrays[0].dtype, copy=False)
+        out = np.empty_like(arrays[0])
         for rows in groups.values():
-            out[rows] = fn(v[rows])
+            out[rows] = fn(*[a[rows] for a in arrays])
         return out
 
     @cached_property

@@ -514,15 +514,19 @@ class TestParityCheckMatrix:
         # One (m, d) view for the regular code, edge-index rows for the
         # others (whether or not a degree's checks are adjacent); either
         # way each check's row comes back in its own edges.
-        v = np.random.default_rng(3).normal(size=code.n_edges)
-        keep = v.copy()
+        v, w = np.random.default_rng(3).normal(size=(2, code.n_edges))
+        keep = v.copy(), w.copy()
         got = code.map_checks(lambda t: np.cumsum(t, axis=1), v)
-        want = np.empty_like(v)
+        # Two arrays: the rows of each check come to fn side by side.
+        got2 = code.map_checks(lambda s, t: s * t.max(axis=1, keepdims=True), v, w)
+        want, want2 = np.empty_like(v), np.empty_like(v)
         for j in range(code.n_checks):
             sl = check_slice(code, j)
             want[sl] = np.cumsum(v[sl])
+            want2[sl] = v[sl] * w[sl].max()
         assert np.array_equal(got, want)
-        assert np.array_equal(v, keep)
+        assert np.array_equal(got2, want2)
+        assert np.array_equal(v, keep[0]) and np.array_equal(w, keep[1])
 
     def test_map_checks_hands_a_one_degree_code_all_rows_at_once(self):
         code = gen_regular_ldpc(30, 3, 6, seed=2)
@@ -540,6 +544,9 @@ class TestParityCheckMatrix:
         code = interleaved_code(20, 12, seed=1)
         with pytest.raises(ValueError, match="edge-flat"):
             code.map_checks(lambda t: t, np.zeros(code.n_edges + 1))
+        # Every array is checked, not only the first.
+        with pytest.raises(ValueError, match="edge-flat"):
+            code.map_checks(lambda s, t: s, np.zeros(code.n_edges), np.zeros(code.n_edges - 1))
 
 
 class TestGenRegular:
