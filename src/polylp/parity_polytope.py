@@ -5,12 +5,13 @@ The parity polytope ``PP_d`` is the convex hull of all even-weight binary
 vectors of length ``d``.  Projection onto it is the workhorse of the
 ADMM LP decoder: every check-node update is one projection.  Both
 projections run in O(d log d) and solve for their scalar in closed form;
-the batch kernel sorts only the rows that fail an O(d) cut test.  The
+the batch kernel takes every row's facet from an O(d) cut test.  The
 paper's two-slice lemma lives in :func:`membership`, as its majorization test.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -129,22 +130,25 @@ def project_batch(values: ArrayLike) -> NDArray[np.float64]:
     """Row-wise parity-polytope projection of an (m, d) array.
 
     Intended for the per-check projections of a decoder iteration, where
-    ``d`` is a check degree.  Every row first takes the O(d) cut test of
-    Zhang and Siegel: the odd-set facet that the hypercube projection
-    ``z_hat`` violates most is ``theta = (z_hat > 1/2)``, with its parity
-    fixed at the coordinate nearest 1/2, and a row that satisfies it with
-    no tolerance returns ``z_hat`` unchanged.  Any other row violates
-    ``theta``, so ``theta`` is the facet ``f_r`` of its projection, and its
-    ``beta_opt`` is the sort-based simplex threshold of Duchi et al.: the
+    ``d`` is a check degree.  Every row takes the facet of the O(d) cut
+    test of Zhang and Siegel: the odd-set facet that the hypercube
+    projection ``z_hat`` violates most is ``theta = (z_hat > 1/2)``, with
+    its parity fixed at the coordinate nearest 1/2.  The root ``beta`` on
+    ``theta`` is the sort-based simplex threshold of Duchi et al.: the
     minimum over k of ``(1 + S_k) / k``, where ``S_k`` sums the k smallest
-    ramp starts, so one sort and no search run.  Scratch memory is
-    O(m * d).  The input is left unchanged, and each row of the result
-    is the same, bit for bit, whatever the batch around it.
+    ramp starts, so one sort and no search run.  A row whose ``beta`` is
+    past a rounding band fails (or passes) the cut test; inside it the
+    test's slack decides.  A passing row returns ``z_hat`` unchanged.
+    Scratch memory is O(m * d).  The input is left unchanged, and each
+    row of the result is the same, bit for bit, whatever the batch.
     """
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 2 or vals.shape[1] == 0:
         raise ValueError("project_batch expects an (m, d) array with d >= 1")
-    if not np.isfinite(vals).all():
+    # NaN and inf propagate through the max, which also bounds the rounding
+    # below; as a Python float it overflows in the bounds without a warning.
+    big = float(np.abs(vals).max(initial=0.0))
+    if not math.isfinite(big):
         raise ValueError("projection input must be finite")
     d = vals.shape[1]
     if d == 1:
@@ -155,53 +159,59 @@ def project_batch(values: ArrayLike) -> NDArray[np.float64]:
     # The cut test runs on a C-contiguous (d, m) copy: a reduction over a
     # row's d entries is then d vector operations across all rows.
     cols = out.T.copy()
-
-    # Slack of the facet theta: sum(min(z, 1 - z)) - 1, less the cost of
-    # the parity fix when |theta| is even.
     cost = np.minimum(cols, 1.0 - cols)
     above = cols > 0.5
     odd = np.logical_xor.reduce(above, axis=0)
-    # numpy sums the columns of a (d, m) array with m >= 2 first row to
-    # last, but a lone column pairwise once d >= 8; one fixed order keeps
-    # each row's projection independent of the batch.
-    total = np.add.accumulate(cost, axis=0)[-1] if cols.shape[1] == 1 else cost.sum(axis=0)
-    # The fix is 1 - 2 max(cost).  A rounded sum has the sign of the exact
-    # sum and negation is exact, so the slack is negative iff total - 1 < -fix.
-    total -= 1.0
     top = cost.max(axis=0)
-    neg_fix = 2.0 * top - 1.0
-    neg_fix[odd] = 0.0
-    bad = (total < neg_fix).nonzero()[0]
-    if bad.size == 0:
-        return out
-
-    # theta, in the cut test's (d, m) layout: the entries above 1/2, with an
-    # even row's parity fixed at its costliest entry.  On a failing row that
-    # entry is unique: two costs at the top sum to at least 2 max, rounded or
-    # not, and the row would pass.
-    theta = cost == top
-    theta &= ~odd
+    # theta: the entries above 1/2, with an even row's parity fixed at its
+    # costliest entry.  On a failing row that entry is unique: two costs at
+    # the top sum to at least 2 max, rounded or not, and the row would pass.
+    theta = np.greater(cost == top, odd)
     theta ^= above
-    theta = theta.T.take(bad, axis=0)
-    v = vals.take(bad, axis=0)
-    # On f_r (+1 on theta, -1 off it) the line value is |theta| minus unit
-    # ramps clip(beta - s_i, 0, 1), s_i = v_i - 1 on theta and -v_i off it.
+    on = theta.T.astype(float, order="C")
+    # On f (+1 on theta, -1 off it) the line value is |theta| minus unit
+    # ramps clip(beta - s_i, 0, 1), s_i = v_i f_i - theta_i, exact as f = +-1.
     # The first ramp saturates where their sum already reaches 1, so the
     # root at |theta| - 1 is that of h(beta) = sum_i (beta - s_i)_+ = 1.
     # With S_k the sum of the k smallest starts, c_k = (1 + S_k) / k has
     # h(c_k) >= k c_k - S_k = 1, and c_k of the active prefix is the root:
     # beta = min_k c_k.
-    starts = np.negative(v)
-    np.subtract(v, 1.0, out=starts, where=theta)
+    f = on * 2.0
+    f -= 1.0
+    starts = vals * f
+    starts -= on
     starts.sort(axis=1)
-    # c_k and their minimum run down the columns of a (d, rows) copy.
+    # c_k and their minimum run down the columns of a (d, m) copy.  The
+    # sums can overflow, and numpy warn, only once big > max / (d + 2).
     c = starts.T.copy()
-    np.add.accumulate(c, axis=0, out=c)
+    with np.errstate(over="ignore") if math.isinf(big * (d + 2)) else contextlib.nullcontext():
+        np.add.accumulate(c, axis=0, out=c)
     c += 1.0
     c /= _ranks(d)
-    beta = np.maximum(c.min(axis=0), 0.0)[:, None]
-    v -= np.where(theta, beta, -beta)
-    out[bad] = np.minimum(np.maximum(v, 0.0, out=v), 1.0, out=v)
+    beta = c.min(axis=0)
+    # Rounding moves beta by less than tau / 2 from the exact root, which is
+    # at most tau / 2 on a row the cut test passes and at least -tau / 2 on
+    # one it fails (README, "Notes on the projection").
+    tau = (big + 1.0) * (d + 2) ** 2 * 2.0**-51
+    if np.abs(beta).min(initial=math.inf) <= tau:
+        # The slack of theta, sum(min(z, 1 - z)) - 1 + fix with the parity fix
+        # 1 - 2 max(cost) on an even theta, is negative iff total - 1 < -fix: a
+        # rounded sum has the exact sum's sign and negation is exact.  numpy
+        # sums a lone column pairwise once d >= 8; one fixed order, first row
+        # to last, keeps each row's projection independent of the batch.
+        total = np.add.accumulate(cost, axis=0)[-1] if cols.shape[1] == 1 else cost.sum(axis=0)
+        total -= 1.0
+        neg_fix = 2.0 * top - 1.0
+        neg_fix[odd] = 0.0
+        failing = total < neg_fix
+        np.maximum(beta, 0.0, out=beta)
+    else:
+        # A failing row's beta is above tau > 0, and a passing row's step
+        # is not used, so beta needs no clamp.
+        failing = beta > tau
+    f *= beta[:, None]
+    np.subtract(vals, f, out=f)
+    np.copyto(out, np.minimum(np.maximum(f, 0.0, out=f), 1.0, out=f), where=failing[:, None])
     return out
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -132,8 +133,9 @@ def batch_test_matrices():
 
 def decoder_projection_inputs():
     """Every project_batch input of seeded ADMM decodes of perfbench's N=96
-    code at BSC 0.015 and 0.05."""
-    code = gen_regular_ldpc(96, 3, 6, seed=7)
+    code at BSC 0.015 and 0.05, where every check is projected and most
+    rows pass the cut test, and of its N=1002 code at BSC 0.035 and 0.07,
+    where only the checks that moved are projected and most rows fail it."""
     rng = np.random.default_rng(25)
     calls = []
 
@@ -143,10 +145,21 @@ def decoder_projection_inputs():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(admm_decoder, "project_batch", record)
-        for p in (0.015, 0.05):
-            for _ in range(20):
-                decode(llr((rng.random(code.n_vars) < p).astype(np.uint8), Bsc(p)), code)
+        for n, points, frames in ((96, (0.015, 0.05), 20), (1002, (0.035, 0.07), 3)):
+            code = gen_regular_ldpc(n, 3, 6, seed=7)
+            for p in points:
+                for _ in range(frames):
+                    decode(llr((rng.random(code.n_vars) < p).astype(np.uint8), Bsc(p)), code)
     return calls
+
+
+def test_decoder_inputs_hold_mostly_failing_batches():
+    # N=96 projects its 48 checks in every call.  N=1002 projects only the
+    # checks that moved, fewer than its 501, and most of their rows lie
+    # outside the polytope: the regime of the facet step.
+    moved = [v for v in decoder_projection_inputs() if len(v) not in (48, 501)]
+    failing = [np.mean((project_batch(v) != np.clip(v, 0.0, 1.0)).any(axis=1)) for v in moved]
+    assert len(moved) > 100 and np.median(failing) > 0.9
 
 
 class TestProjection:
@@ -332,6 +345,38 @@ class TestBatchKernelBytes:
         for values in decoder_projection_inputs():
             assert not np.signbit(values[values == 0.0]).any()
 
+    def test_facet_tight_row_comes_back_as_its_clip(self):
+        # From a moved-checks batch at N=1002: v0 + v2 == v5 in floating
+        # point, so the row lies on its cut test facet and passes it.  Its
+        # facet step's root is a rounding error above 0, and the step moves
+        # its zeros; only the cut test's slack keeps the row as it is.
+        row = np.array([[0.4638585218820908, 0, 0.2319292609410454, 0, 0, 0.6957877828231362]])
+        assert row[0, 0] + row[0, 2] == row[0, 5]
+        assert project_batch(row).tobytes() == row.tobytes()
+        # Stacked among rows that mostly fail the cut test, as on that path.
+        batch = np.random.default_rng(32).uniform(-1.0, 2.0, (40, 6))
+        batch[17] = row[0]
+        z = project_batch(batch)
+        assert z[17].tobytes() == row[0].tobytes()
+        assert (z != np.clip(batch, 0.0, 1.0)).any(axis=1).mean() > 0.5
+        self.assert_same_bytes(batch)
+
+    @pytest.mark.parametrize("d", [1, 2, 6])
+    def test_empty_batch(self, d):
+        z = project_batch(np.zeros((0, d)))
+        assert z.shape == (0, d) and z.dtype == np.float64
+
+    def test_passing_rows_keep_the_clip_of_negative_zeros(self):
+        # Rows of -0.0 and 1/2 with no lone 1/2 are in the polytope, and
+        # their -0.0 entries lie off the cut test's facet.  A passing row
+        # returns the kernel's clip of the whole input, so each -0.0 keeps
+        # the zero np.maximum(-0.0, 0.0) gives at its position (numpy 1.24
+        # gives either, by position); a step by the clamped root would give
+        # -0.0 - (-0.0) = +0.0 there.
+        values = np.array([u for u in itertools.product((-0.0, 0.5), repeat=5) if u.count(0.5) != 1])
+        want = np.minimum(np.maximum(values, 0.0), 1.0)
+        assert project_batch(values).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("shape", [(5, 6), (1, 6), (5, 1)])
     def test_non_finite_entry_anywhere_rejected(self, bad, shape):
@@ -349,19 +394,23 @@ class TestBatchKernelBytes:
         with pytest.raises(ValueError, match="finite"):
             project_batch(np.array([[np.inf, 0.5, -np.inf]]))
 
-    # The threshold scan (np.add.accumulate) of the second and the last input
-    # overflows on its huge row, and so does the sum this test asserts on.
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    # Every row's threshold scan (np.add.accumulate) overflows on these, the
+    # passing row [1e308, 1e308, 0] too, and project_batch must not warn;
+    # the sum this test asserts on and the reference kernel do overflow.
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("values", [
         [[1e308, 1e308, -1.0]],
+        [[1e308, 1e308, 0.0]],
         [[-1e308, -1e308, 0.7]],
         [[1e308, 0.2, 0.9], [1e308, 0.6, 0.1]],
         [[1.7e308, -0.4, 0.6, 1.7e308], [0.2, 0.4, 0.6, 0.8]],
     ])
     def test_finite_rows_with_overflowing_sum_accepted(self, values):
         values = np.array(values)
-        assert not math.isfinite(values.sum())
-        self.assert_same_bytes(values)
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(values.sum())
+            want = project_batch_reference(values)
+        assert project_batch(values).tobytes() == want.tobytes()
 
 
 class TestMaximizeLinear:
