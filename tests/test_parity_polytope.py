@@ -346,10 +346,11 @@ class TestBatchKernelBytes:
             assert not np.signbit(values[values == 0.0]).any()
 
     def test_facet_tight_row_comes_back_as_its_clip(self):
-        # From a moved-checks batch at N=1002: v0 + v2 == v5 in floating
-        # point, so the row lies on its cut test facet and passes it.  Its
-        # facet step's root is a rounding error above 0, and the step moves
-        # its zeros; only the cut test's slack keeps the row as it is.
+        # From a moved-checks batch of TestMovedChecksOnly's (5,6,7) code of
+        # 2 099 edges: v0 + v2 == v5 in floating point, so the row lies on
+        # its cut test facet and passes it.  Its facet step's root is a
+        # rounding error above 0, and the step moves its zeros; only the cut
+        # test's slack keeps the row as it is.
         row = np.array([[0.4638585218820908, 0, 0.2319292609410454, 0, 0, 0.6957877828231362]])
         assert row[0, 0] + row[0, 2] == row[0, 5]
         assert project_batch(row).tobytes() == row.tobytes()
@@ -370,9 +371,9 @@ class TestBatchKernelBytes:
         # Rows of -0.0 and 1/2 with no lone 1/2 are in the polytope, and
         # their -0.0 entries lie off the cut test's facet.  A passing row
         # returns the kernel's clip of the whole input, so each -0.0 keeps
-        # the zero np.maximum(-0.0, 0.0) gives at its position (numpy 1.24
-        # gives either, by position); a step by the clamped root would give
-        # -0.0 - (-0.0) = +0.0 there.
+        # the zero np.maximum(-0.0, 0.0) gives at its position, which may
+        # depend on numpy's version and the position; a step by the clamped
+        # root would give -0.0 - (-0.0) = +0.0 there.
         values = np.array([u for u in itertools.product((-0.0, 0.5), repeat=5) if u.count(0.5) != 1])
         want = np.minimum(np.maximum(values, 0.0), 1.0)
         assert project_batch(values).tobytes() == want.tobytes()
@@ -394,9 +395,10 @@ class TestBatchKernelBytes:
         with pytest.raises(ValueError, match="finite"):
             project_batch(np.array([[np.inf, 0.5, -np.inf]]))
 
-    # Every row's threshold scan (np.add.accumulate) overflows on these, the
-    # passing row [1e308, 1e308, 0] too, and project_batch must not warn;
-    # the sum this test asserts on and the reference kernel do overflow.
+    # The threshold scan (np.add.accumulate), which every row takes,
+    # overflows on a huge row of each input, the passing row [1e308, 1e308,
+    # 0] too, and project_batch must not warn; the sum this test asserts on
+    # and the reference kernel may.
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("values", [
         [[1e308, 1e308, -1.0]],
