@@ -31,17 +31,11 @@ class BpConfig:
         check_positive("llr_clip", self.llr_clip)
 
 
-# Columns from which a prefix scan runs as vector steps (an estimate; README).
-_STEP_COLUMNS = 256
-
-
 def _prefix_products(a: NDArray[np.float64], out: NDArray[np.float64]) -> None:
     # Inclusive prefix products down axis 0 of a (rows, m) block into out.
-    # numpy accumulates one column at a time, so a wide block takes rows - 1
-    # vector steps instead; both multiply first to last, to the same bytes.
-    if a.shape[1] < _STEP_COLUMNS:
-        np.multiply.accumulate(a, axis=0, out=out)
-        return
+    # numpy accumulates one column at a time, so the block takes rows - 1
+    # vector steps across all columns instead; they multiply first to last,
+    # as the accumulate does, to the same bytes.
     out[:1] = a[:1]
     for k in range(1, a.shape[0]):
         np.multiply(out[k - 1], a[k], out=out[k])

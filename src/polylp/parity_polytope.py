@@ -97,19 +97,19 @@ def project_parity_polytope(
 
     beta_opt = 0.0
     z_sorted = z_hat
-    if r < d:
-        fz = 2.0 * float(z_hat[: r + 1].sum()) - float(z_hat.sum())
-        if fz > r + PARITY_TOL:
-            f = np.ones(d)
-            f[r + 1 :] = -1.0
-            starts = np.sort(np.concatenate([v[: r + 1] - 1.0, -v[r + 1 :]]))
-            # Every start exceeds -1, so huge entries can overflow the scan only
-            # to +inf, which never undercuts the finite k = 1 ratio 1 + s_1.
-            with np.errstate(over="ignore"):
-                ratios = (1.0 + np.cumsum(starts)) / np.arange(1, d + 1)
-            beta_opt = max(float(ratios.min()), 0.0)
-            # PP_1 = {0}; the threshold would leave (v - 1) + 1 - v.
-            z_sorted = np.zeros(1) if d == 1 else np.clip(v - beta_opt * f, 0.0, 1.0)
+    # At r == d the clipped sum is d, so fz == r and nothing is projected.
+    fz = 2.0 * float(z_hat[: r + 1].sum()) - float(z_hat.sum())
+    if fz > r + PARITY_TOL:
+        f = np.ones(d)
+        f[r + 1 :] = -1.0
+        starts = np.sort(np.concatenate([v[: r + 1] - 1.0, -v[r + 1 :]]))
+        # Every start exceeds -1, so huge entries can overflow the scan only
+        # to +inf, which never undercuts the finite k = 1 ratio 1 + s_1.
+        with np.errstate(over="ignore"):
+            ratios = (1.0 + np.cumsum(starts)) / np.arange(1, d + 1)
+        beta_opt = max(float(ratios.min()), 0.0)
+        # PP_1 = {0}; the threshold would leave (v - 1) + 1 - v.
+        z_sorted = np.zeros(1) if d == 1 else np.clip(v - beta_opt * f, 0.0, 1.0)
 
     if workspace is not None:
         workspace.r = r
@@ -196,10 +196,10 @@ def project_batch(values: ArrayLike) -> NDArray[np.float64]:
     if np.abs(beta).min(initial=math.inf) <= tau:
         # The slack of theta, sum(min(z, 1 - z)) - 1 + fix with the parity fix
         # 1 - 2 max(cost) on an even theta, is negative iff total - 1 < -fix: a
-        # rounded sum has the exact sum's sign and negation is exact.  numpy
-        # sums a lone column pairwise once d >= 8; one fixed order, first row
-        # to last, keeps each row's projection independent of the batch.
-        total = np.add.accumulate(cost, axis=0)[-1] if cols.shape[1] == 1 else cost.sum(axis=0)
+        # rounded sum has the exact sum's sign and negation is exact.  One fixed
+        # order, first row to last, keeps each row's projection independent of
+        # the batch: numpy's sum adds a lone column pairwise once d >= 8.
+        total = np.add.accumulate(cost, axis=0)[-1]
         total -= 1.0
         neg_fix = 2.0 * top - 1.0
         neg_fix[odd] = 0.0

@@ -243,10 +243,9 @@ def test_leave_one_out_products_match_the_rowwise_products(m, d):
     ids=["interleaved", "degrees-1-2-6-32"],
 )
 def test_check_update_matches_the_rowwise_products(code, monkeypatch):
-    # The check update over every degree group (the second code's 450
-    # degree-6 checks take the vector steps, its other groups accumulate),
-    # and BP's beliefs after some rounds, are the bytes of the row-wise
-    # cumulative products.
+    # The check update over every degree group (the second code's groups
+    # range from a few checks to 450), and BP's beliefs after some rounds,
+    # are the bytes of the row-wise cumulative products.
     rng = np.random.default_rng(7)
     t = np.tanh(0.5 * rng.normal(0.0, 4.0, code.n_edges))
     got = code.map_checks(bp_decoder._leave_one_out_products, t)
@@ -259,18 +258,15 @@ def test_check_update_matches_the_rowwise_products(code, monkeypatch):
     assert fast[0].tobytes() == slow[0].tobytes() and fast[1:] == slow[1:]
 
 
-# (rows, m) blocks far from the rule's boundary on both sides, and
-# degenerate ones: no rows, one row, two rows, one column.
+# (rows, m) blocks of few and many checks, and degenerate ones: no rows,
+# one row, two rows, one column.
 SCAN_SHAPES = [(5, 8), (31, 148), (5, 501), (5, 5000), (31, 1000),
                (0, 7), (1, 1), (1, 300), (2, 1), (2, 300), (5, 1)]
 
 
-@pytest.mark.parametrize("step_columns", [None, 0, 10**9], ids=["rule", "steps", "accumulate"])
 @pytest.mark.parametrize("shape", SCAN_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
-def test_prefix_products_match_accumulate_byte_for_byte(monkeypatch, step_columns, shape):
-    # Each branch, and the rule's own choice, against numpy's accumulate.
-    if step_columns is not None:
-        monkeypatch.setattr(bp_decoder, "_STEP_COLUMNS", step_columns)
+def test_prefix_products_match_accumulate_byte_for_byte(shape):
+    # The vector steps against numpy's accumulate.
     rows, m = shape
     a = tanh_halves(rows, m, seed=rows * m + 1)
     want = np.multiply.accumulate(a, axis=0)
