@@ -264,17 +264,30 @@ SCAN_SHAPES = [(5, 8), (31, 148), (5, 501), (5, 5000), (31, 1000),
                (0, 7), (1, 1), (1, 300), (2, 1), (2, 300), (5, 1)]
 
 
+def scan_layout(a, layout):
+    """a's values in C order, in Fortran order, or as every other column of a wider block."""
+    if layout == "c-order":
+        return a.copy()
+    if layout == "f-order":
+        return np.asfortranarray(a)
+    wide = np.zeros((a.shape[0], 2 * a.shape[1]))
+    wide[:, ::2] = a
+    return wide[:, ::2]
+
+
+@pytest.mark.parametrize("layout", ["c-order", "f-order", "column-stride"])
 @pytest.mark.parametrize("shape", SCAN_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
-def test_prefix_products_match_accumulate_byte_for_byte(shape):
-    # The vector steps against numpy's accumulate.
+def test_prefix_products_match_accumulate_byte_for_byte(shape, layout):
+    # The vector steps against numpy's accumulate, with input and output
+    # laid out alike, so the steps run over rows of any stride.
     rows, m = shape
     a = tanh_halves(rows, m, seed=rows * m + 1)
     want = np.multiply.accumulate(a, axis=0)
-    out = np.empty_like(a)
-    bp_decoder._prefix_products(a, out)
+    out = scan_layout(np.empty_like(a), layout)
+    bp_decoder._prefix_products(scan_layout(a, layout), out)
     assert out.tobytes() == want.tobytes()
     # Between views with reversed rows, as the suffix products run.
-    flipped = a[::-1].copy()
-    out = np.empty((rows + 1, m))
+    flipped = scan_layout(a[::-1], layout)
+    out = scan_layout(np.empty((rows + 1, m)), layout)
     bp_decoder._prefix_products(flipped[::-1], out[-1:0:-1])
     assert out[-1:0:-1].tobytes() == want.tobytes()
