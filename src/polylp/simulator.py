@@ -20,7 +20,7 @@ from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.typing import ArrayLike, NDArray
+from numpy.typing import NDArray
 
 from .admm_decoder import AdmmConfig, DecodeOutput, decode
 from .bp_decoder import BpConfig, decode_bp
@@ -83,34 +83,22 @@ class DecoderRef:
         return lambda g: fn(g, code, self.config)
 
 
-def _sent_word(code: ParityCheckMatrix, transmitted: ArrayLike | None) -> NDArray[np.uint8]:
-    """The transmitted word as bits: all zero when not given, else the
-    given word once it checks out as a codeword of ``code``."""
-    if transmitted is None:
-        return np.zeros(code.n_vars, dtype=np.uint8)
-    sent = np.asarray(transmitted)
-    # is_codeword also rejects a wrong length and entries other than 0 and 1.
-    if not is_codeword(code, sent):
-        raise ValueError("transmitted word must be a codeword")
-    return sent.astype(np.uint8)
-
-
 def ml_account(
     output: DecodeOutput,
     gamma: NDArray[np.float64],
     code: ParityCheckMatrix,
-    transmitted: ArrayLike | None = None,
 ) -> bool:
     """Whether a word error certifies that an ML decoder would also fail.
 
-    True exactly when the hard decision is a codeword with strictly lower
-    cost than the transmitted word.  Ties and non-codeword outputs give
-    False, so the count of True errors is a lower bound on ML errors.
+    The all-zero codeword is taken as sent, as in every sweep.  True
+    exactly when the hard decision is a codeword of negative cost, that
+    is of strictly lower cost than the zero word.  Ties and non-codeword
+    outputs give False, so the count of True errors is a lower bound on
+    ML errors.
     """
     gamma = check_llrs(code, gamma)
-    sent = _sent_word(code, transmitted)
     est = output.hard_decision
-    return is_codeword(code, est) and float(gamma @ est) < float(gamma @ sent)
+    return is_codeword(code, est) and float(gamma @ est) < 0.0
 
 
 @dataclass
@@ -145,23 +133,23 @@ def _run_trial(
     code: ParityCheckMatrix,
     channel: ChannelModel,
     decoder: DecoderRef,
-    transmitted: NDArray[np.uint8],
     seed: int,
     point_index: int,
     trial_index: int,
 ) -> tuple[int, int, float, bool]:
-    """One decoded trial: (bit_errors, iterations, seconds, ml_error)."""
+    """One decoded trial of the all-zero codeword: (bit_errors, iterations,
+    seconds, ml_error)."""
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(point_index, trial_index))
     )
-    received = transmit(transmitted, channel, rng)
+    received = transmit(np.zeros(code.n_vars, dtype=np.uint8), channel, rng)
     gamma = llr(received, channel)
     decode_fn = decoder.bind(code)
     t0 = time.perf_counter()
     out = decode_fn(gamma)
     elapsed = time.perf_counter() - t0
-    bit_errors = int(np.count_nonzero(out.hard_decision != transmitted))
-    ml_error = bit_errors > 0 and ml_account(out, gamma, code, transmitted)
+    bit_errors = int(np.count_nonzero(out.hard_decision))
+    ml_error = bit_errors > 0 and ml_account(out, gamma, code)
     return bit_errors, out.iterations, elapsed, ml_error
 
 
@@ -193,23 +181,21 @@ def run_point(
     seed: int = 0,
     point_index: int = 0,
     workers: int = 1,
-    transmitted: ArrayLike | None = None,
     pool: ProcessPoolExecutor | None = None,
 ) -> TrialStats:
     """Monte-Carlo decode trials at one channel point.
 
-    Transmits the all-zero codeword or an explicitly supplied codeword,
-    and counts a word error when the hard decision is not the sent word.
-    Under channel symmetry, whether LP decoding ends integral on the sent
-    word does not depend on the word; this count does, since a fractional
-    output that rounds to the all-zero word scores as a success.  So for
-    the all-zero word it is optimistic.  Either a fixed trial count or a
-    stop-at-target-errors budget must be given; the latter is capped at
-    ``max_trials``.  Results depend only on (seed, point_index, trial
-    index), never on the worker count.
+    Sends the all-zero codeword and counts a word error when the hard
+    decision is not all zero.  Under channel symmetry, whether LP decoding
+    ends integral on the sent word does not depend on the word; this count
+    does, since a fractional output that rounds to the all-zero word scores
+    as a success, so it is optimistic.  Another codeword is decoded with
+    :func:`transmit`, :func:`llr` and a decoder directly.  Either a fixed
+    trial count or a stop-at-target-errors budget must be given; the latter
+    is capped at ``max_trials``.  Results depend only on (seed, point_index,
+    trial index), never on the worker count.
     """
     check_run_args(n_trials, target_errors, max_trials, workers, seed, point_index)
-    sent = _sent_word(code, transmitted)
     # A fixed budget is one wave that no error count stops.  Waves of a
     # fixed size keep the trial order, and therefore the stopping point,
     # independent of the worker count.
@@ -226,7 +212,7 @@ def run_point(
         n_vars=code.n_vars,
         rate=channel.rate if isinstance(channel, Awgn) else code.design_rate,
     )
-    run = partial(_run_trial, code, channel, decoder, sent, seed, point_index)
+    run = partial(_run_trial, code, channel, decoder, seed, point_index)
     owned = workers > 1 and pool is None
     with ProcessPoolExecutor(workers) if owned else nullcontext(pool) as pool:
         while stats.word_errors < target and stats.trials < limit:
