@@ -127,8 +127,8 @@ def lambda_update(
 # hold the cut-over here: small codes such as N=96 (288 edges), where
 # picking the moved checks costs more numpy calls than skipping the other
 # rows saves, and (5,6,7) codes at BSC 0.05, where ~47 % of rows move and
-# the moved path loses up to ~4 000 edges.  (3,6) codes alone would pay
-# from 576 edges or fewer at BSC 0.015 (the timings are in the README).
+# the moved path is slower below ~4 000 edges.  (3,6) codes alone would
+# pay from 576 edges or fewer at BSC 0.015 (the timings are in the README).
 _ACTIVE_SET_EDGES = 2048
 
 
