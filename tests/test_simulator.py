@@ -11,6 +11,7 @@ from polylp import (
     Bsc,
     DecodeOutput,
     DecoderRef,
+    ParityCheckMatrix,
     STATUS_CONVERGED,
     gen_regular_ldpc,
     llr,
@@ -23,8 +24,9 @@ from polylp import (
 from polylp import simulator
 from polylp.admm_decoder import AdmmConfig, decode
 from polylp.bp_decoder import BpConfig
+from polylp.codes import is_codeword
 from polylp.dual_ascent import DualAscentConfig
-from oracles import codebook, hamming_7_4, interleaved_code
+from oracles import codebook, gf2_nullspace, hamming_7_4, interleaved_code
 
 ADMM = DecoderRef("admm")
 # Erroneous decodes run to the iteration cap; a small cap keeps the
@@ -54,6 +56,45 @@ class TestRunPoint:
         )
         assert a.iter_sum_correct == b.iter_sum_correct
         assert a.iter_sum_erroneous == b.iter_sum_erroneous
+
+    def test_uninformative_channel_with_nonzero_codeword(self):
+        # At p = 0.5 the LLRs vanish and every decoder falls back to the
+        # zero word.  run_point sends that word, so it reads no errors;
+        # any other codeword, sent directly, always fails.
+        code = gen_regular_ldpc(32, 3, 6, seed=0)
+        assert run_point(code, Bsc(0.5), ADMM, n_trials=100, seed=4).word_errors == 0
+        basis = gf2_nullspace(code.to_dense())
+        word = basis[np.flatnonzero(basis.any(axis=1))[0]]
+        assert word.any()
+        rng = np.random.default_rng(4)
+        failures = sum(
+            not np.array_equal(decode(llr(transmit(word, Bsc(0.5), rng), Bsc(0.5)), code)
+                               .hard_decision, word)
+            for _ in range(100)
+        )
+        assert failures >= 90
+
+    def test_rejects_non_codeword_transmission(self):
+        # Sweeps send only the all-zero word: a sent word, codeword or
+        # not, is refused, not silently replaced.
+        code = hamming_7_4()
+        word = np.array([1, 0, 0, 0, 0, 0, 0])
+        with pytest.raises(TypeError, match="transmitted"):
+            run_point(code, Bsc(0.1), ADMM, n_trials=1, seed=0, transmitted=word)
+        out = decode(np.ones(7), code)
+        with pytest.raises(TypeError, match="transmitted"):
+            ml_account(out, np.ones(7), code, transmitted=word)
+
+    @pytest.mark.parametrize("word", [[1.7, 1.2, 1.9], [0.6, 0.2, 0.9]])
+    def test_rejects_a_word_that_only_casts_to_a_codeword(self, word):
+        # Cast to bits these are the codewords 111 and 000 of this code.
+        # Another codeword than zero is sent with transmit, which refuses
+        # them on either channel.
+        code = ParityCheckMatrix.from_dense([[1, 1, 0], [0, 1, 1]])
+        assert is_codeword(code, np.asarray(word).astype(np.uint8))
+        for ch in (Bsc(0.1), Awgn(2.0, 0.5)):
+            with pytest.raises(ValueError, match="0 or 1"):
+                transmit(word, ch, seed=0)
 
     def test_rejects_fewer_than_one_worker(self):
         code = hamming_7_4()
