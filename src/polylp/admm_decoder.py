@@ -166,6 +166,15 @@ def z_update(
     return code.map_checks(_project_moved, v, step, z)
 
 
+def _start(bits: NDArray[np.float64]) -> NDArray[np.float64]:
+    """One degree group's start rows from the hard decision's (m_d, d) bits: the
+    bits on an even check, the centroid 1/2 on an odd one, 0 at degree 1."""
+    if bits.shape[1] == 1:
+        return np.zeros(bits.shape)  # PP_1 = {0}
+    # The row sums are exact; BLAS and an integer parity cost less than a float %.
+    return np.where((bits @ np.ones(bits.shape[1])).astype(np.int64)[:, None] & 1, 0.5, bits)
+
+
 def decode(
     gamma: ArrayLike,
     code: ParityCheckMatrix,
@@ -173,14 +182,19 @@ def decode(
 ) -> DecodeOutput:
     """Solve the decoding LP for the LLR vector ``gamma``.
 
-    Replicas and projection inputs start at zero.  Convergence requires
-    both the replica movement and the replica-to-variable residual to
-    fall below ``epsilon^2`` times the total edge count; the residual is
-    only computed once the movement is below it.
+    Replicas and projection inputs start at one point of each check's
+    parity polytope, from the hard decision ``gamma < 0``: its bits on a
+    check it satisfies, the centroid 1/2 on one it violates, 0 on a
+    degree-1 check.  So the scaled duals start at 0, each start row is its
+    own projection, and on the BSC the path does not depend, beyond
+    rounding, on the sent codeword.  Convergence requires both the replica
+    movement and the replica-to-variable residual to fall below
+    ``epsilon^2`` times the total edge count; the residual is only computed
+    once the movement is below it.
     """
     gamma = check_llrs(code, gamma)
-    # No step writes its inputs, so z and v can share zeros.
-    z = v = np.zeros(code.n_edges)
+    # No step writes its inputs, so z and v can share the start.
+    z = v = code.map_checks(_start, (gamma < 0.0)[code.edge_var] * 1.0)
     gamma_mu = gamma / config.mu
     threshold = config.epsilon**2 * code.n_edges
     dot = np.ndarray.dot if code.n_edges <= _DOT_CHUNK else _chunked_dot

@@ -188,12 +188,12 @@ def run_point(
     Sends the all-zero codeword and counts a word error when the hard
     decision is not all zero.  Under channel symmetry, whether LP decoding
     ends integral on the sent word does not depend on the word; this count
-    does, since a fractional output that rounds to the all-zero word scores
-    as a success, so it is optimistic.  Another codeword is decoded with
-    :func:`transmit`, :func:`llr` and a decoder directly.  Either a fixed
-    trial count or a stop-at-target-errors budget must be given; the latter
-    is capped at ``max_trials``.  Results depend only on (seed, point_index,
-    trial index), never on the worker count.
+    does when a decoder's fractional outputs lean to the all-zero word (on
+    the BSC, ADMM's do not: it starts from the hard decision).  Another
+    codeword is decoded with :func:`transmit`, :func:`llr` and a decoder
+    directly.  Either a fixed trial count or a stop-at-target-errors budget
+    must be given; the latter is capped at ``max_trials``.  Results depend
+    only on (seed, point_index, trial index), never on the worker count.
     """
     check_run_args(n_trials, target_errors, max_trials, workers, seed, point_index)
     # A fixed budget is one wave that no error count stops.  Waves of a

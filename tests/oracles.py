@@ -516,15 +516,31 @@ def fundamental_lp(gamma: np.ndarray, code: ParityCheckMatrix) -> tuple[float, n
     return float(res.fun), res.x
 
 
+def admm_start(gamma: np.ndarray, code: ParityCheckMatrix) -> np.ndarray:
+    """ADMM's start on the edges, check by check, from the hard decision
+    ``gamma < 0``: its bits on a check of even parity, 1/2 on every edge of a
+    check of odd parity, and 0 on a check of degree 1."""
+    hard = (np.asarray(gamma) < 0.0).astype(float)
+    start = np.zeros(code.n_edges)
+    for j in range(code.n_checks):
+        sl = check_slice(code, j)
+        bits = hard[code.edge_var[sl]]
+        if bits.size > 1:
+            start[sl] = bits if bits.sum() % 2 == 0 else 0.5
+    return start
+
+
 def decode_scaled_form(
     gamma: np.ndarray, code: ParityCheckMatrix, config: AdmmConfig = AdmmConfig()
 ) -> DecodeOutput:
     """ADMM in the scaled form of Boyd et al. (2011, section 3.1.1), the
     reference for ``decode``'s two-array recurrence: it carries the duals
     ``u`` beside the replicas, builds each projection input as
-    ``rho x + (1 - rho) z + u`` and then steps ``u`` to ``v - z``."""
+    ``rho x + (1 - rho) z + u`` and then steps ``u`` to ``v - z``.  The
+    replicas start at ``admm_start`` and the duals at 0."""
     gamma = np.asarray(gamma, dtype=float)
-    z = u = np.zeros(code.n_edges)
+    z = admm_start(gamma, code)
+    u = np.zeros(code.n_edges)
     threshold = config.epsilon**2 * code.n_edges
     status = STATUS_MAX_ITERS
     for t in range(1, config.t_max + 1):

@@ -26,10 +26,12 @@ from polylp.parity_polytope import project_batch
 from polylp.admm_decoder import (INTEGRALITY_TOL, lambda_update, make_output, x_update,
                                  z_update)
 from oracles import (
+    admm_start,
     check_neighborhoods,
     check_slice,
     codebook,
     decode_scaled_form,
+    gf2_nullspace,
     fundamental_lp,
     hamming_7_4,
     interleaved_code,
@@ -200,7 +202,7 @@ class TestDecodeProperties:
         rng = np.random.default_rng(1)
         gamma = rng.normal(0.8, 1.0, 48)
         cfg = AdmmConfig()
-        z = v = zeros(code)
+        z = v = admm_start(gamma, code)
         threshold = cfg.epsilon**2 * code.n_edges
         for t in range(1, cfg.t_max + 1):
             x = x_update(z, v, code, gamma / cfg.mu)
@@ -426,6 +428,93 @@ class TestMovedChecksOnly:
             assert a.x.tobytes() == b.x.tobytes()
             assert (a.status, a.iterations, a.ml_certificate) == (
                 b.status, b.iterations, b.ml_certificate)
+
+
+class TestStart:
+    """``decode`` starts each check at a point of its parity polytope built
+    from the hard decision ``gamma < 0``, with the scaled duals at 0."""
+
+    N96 = gen_regular_ldpc(96, 3, 6, seed=7)
+    N1002 = gen_regular_ldpc(1002, 3, 6, seed=7)
+
+    @pytest.mark.parametrize("code, p, frames", [(N96, 0.03, 300), (N96, 0.05, 150),
+                                                 (N1002, 0.05, 20)],
+                             ids=["n96-0.03", "n96-0.05", "n1002-0.05"])
+    def test_decode_does_not_depend_on_the_sent_codeword(self, code, p, frames):
+        # Sending a codeword c through the flips e gives the LLRs of e with
+        # their signs flipped on c.  The hard decision flips on c too and
+        # keeps every check's parity, so each iterate is the same point
+        # reflected on c, up to rounding.
+        basis = gf2_nullspace(code.to_dense())
+        rng = np.random.default_rng(35)
+        channel = Bsc(p)
+        statuses = set()
+        for _ in range(frames):
+            word = rng.integers(0, 2, basis.shape[0]).astype(np.uint8) @ basis % 2
+            flips = transmit(np.zeros(code.n_vars, np.uint8), channel, rng)
+            a = decode(llr(flips, channel), code)
+            b = decode(llr(flips ^ word, channel), code)
+            assert (a.status, a.iterations, a.ml_certificate) == (
+                b.status, b.iterations, b.ml_certificate)
+            assert np.array_equal(a.hard_decision ^ word, b.hard_decision)
+            assert np.abs(np.where(word == 1, 1.0 - b.x, b.x) - a.x).max() <= 1e-12
+            statuses.add(a.status)
+        assert STATUS_CONVERGED in statuses
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 6, 7, 20, 32, 33])
+    def test_start_rows_are_their_own_projections(self, d):
+        # Every even vertex and the centroid 1/2 lie in PP_d (and 0 in PP_1),
+        # so z = project(v) holds bit for bit from the start: the moved-checks
+        # path may keep an unmoved check's z.
+        code = ParityCheckMatrix(d, [np.arange(d)])
+        rng = np.random.default_rng(d)
+        rows = np.array([admm_start(rng.normal(size=d), code) for _ in range(200)])
+        assert (rows == 0.5).all(axis=1).any() == (d > 1)
+        assert np.array_equal(project_batch(rows), rows)
+        assert not np.signbit(rows).any()
+
+    def test_degree_one_check_starts_at_zero_on_the_moved_path(self, monkeypatch):
+        # PP_1 = {0}.  A degree-1 check whose bit is 1 has odd parity, but the
+        # centroid is not in PP_1; on a code of at least _ACTIVE_SET_EDGES edges
+        # an unmoved check keeps its start, so a wrong start would stay.
+        code = ParityCheckMatrix(1002, list(check_neighborhoods(self.N1002)) + [[4]])
+        assert code.n_edges >= admm_decoder._ACTIVE_SET_EDGES
+        starts = []
+
+        def record(v, z, step, code):
+            if not starts:
+                starts.append(z.copy())
+            return z_update(v, z, step, code)
+
+        rng = np.random.default_rng(6)
+        gamma = llr((rng.random(1002) < 0.03).astype(np.uint8), Bsc(0.03))
+        gamma[4] = -3.0
+        monkeypatch.setattr(admm_decoder, "z_update", record)
+        out = decode(gamma, code)
+        (z0,) = starts
+        assert z0[-1] == 0.0 and not np.signbit(z0).any()
+        assert np.array_equal(z0, admm_start(gamma, code))
+        monkeypatch.setattr(admm_decoder, "z_update", z_update)
+        monkeypatch.setattr(admm_decoder, "_ACTIVE_SET_EDGES", 10**9)
+        every = decode(gamma, code)
+        assert out.x.tobytes() == every.x.tobytes()
+        assert (out.status, out.iterations) == (every.status, every.iterations)
+        assert out.x[4] <= INTEGRALITY_TOL
+
+    @pytest.mark.parametrize("code", [N96, N1002, interleaved_code(24, 14, seed=5)],
+                             ids=["n96", "n1002", "interleaved"])
+    def test_codeword_hard_decision_is_certified_after_one_iteration(self, code):
+        # If gamma < 0 is a codeword, it minimizes gamma . x over the whole
+        # cube, so it is ML; the start is that codeword, the first x-update
+        # returns it exactly, and nothing moves.
+        basis = gf2_nullspace(code.to_dense())
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            word = rng.integers(0, 2, basis.shape[0]).astype(np.uint8) @ basis % 2
+            gamma = rng.uniform(0.01, 5.0, code.n_vars) * (1.0 - 2.0 * word)
+            out = decode(gamma, code)
+            assert (out.status, out.iterations, out.ml_certificate) == (STATUS_CONVERGED, 1, True)
+            assert np.array_equal(out.x, word)
 
 
 class TestMakeOutput:

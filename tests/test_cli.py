@@ -135,7 +135,7 @@ class TestDecode:
     # decodes; x is not pinned, since its last digits may move.
     @pytest.mark.parametrize("algo, flags, llr, status, iterations, ones, certified", [
         # Bits 0, 5 and 19 negated: ADMM ends certified on the ML codeword.
-        ("admm", [], frame((0, 5, 19)), "Converged", 11, {0, 1, 5, 19}, True),
+        ("admm", [], frame((0, 5, 19)), "Converged", 8, {0, 1, 5, 19}, True),
         # Bits 0 and 5 negated: BP's loop, with its per-iteration codeword
         # test, ends on the all-zero word.  BP never certifies.
         ("bp", [], frame((0, 5), value=2), "Converged", 2, set(), False),

@@ -66,11 +66,11 @@ CASES = {
 # (discrete digest, x digest, frames at t_max) of each case, seed 2024.  The
 # array code's AWGN rate is its design rate, 1 - 148/1184.
 PINNED = {
-    "admm-n96-bsc0.015": ("b003e306e2199ebe", "327e885c698ddcf8", 0),
-    "admm-n96-bsc0.03": ("4f72a8c12e9c6203", "be0e649d41c23133", 3),
-    "admm-n96-bsc0.05": ("313abab78dd60e86", "45797d6df0eee282", 14),
-    "admm-n1002-bsc0.05": ("f67549eb2dfa5b02", "f1928b8ec2751d9a", 0),
-    "admm-array-d32-awgn5.5": ("632933466a1bbd9a", "017b23808471bcf7", 0),
+    "admm-n96-bsc0.015": ("893d2da54a0213b8", "80595c6b3b39d8bb", 0),
+    "admm-n96-bsc0.03": ("82c9e44107a6fc33", "711084b14d320e7a", 3),
+    "admm-n96-bsc0.05": ("08b2145f84f747ec", "86815e9fd8736dc1", 14),
+    "admm-n1002-bsc0.05": ("ac41a8a84e41b829", "f1928b8ec2751d9a", 0),
+    "admm-array-d32-awgn5.5": ("d6ca60fa8bb09086", "2b364c67e018e7e0", 0),
     "bp-n1002-bsc0.05": ("e03e7ef028c21211", "b8c61b57265e1688", 0),
     "dual-ascent-n48-bsc0.03": ("e22340d6b1b0e89a", "505930ab058e0970", 1),
 }

@@ -424,7 +424,7 @@ class TestSweep:
 # the iteration sums of correct and of erroneous frames.  A cap of 100
 # iterations keeps every decoder's failing frames cheap.
 GOLDEN_SWEEPS = {
-    "admm": (AdmmConfig(t_max=100), [(64, 4, 22, 0, 389, 400), (64, 19, 105, 0, 621, 1900)]),
+    "admm": (AdmmConfig(t_max=100), [(64, 4, 23, 0, 325, 400), (64, 20, 107, 0, 448, 2000)]),
     "bp": (BpConfig(t_max=100), [(64, 5, 26, 0, 89, 500), (64, 20, 111, 0, 129, 1918)]),
     "dual-ascent": (DualAscentConfig(t_max=100),
                     [(64, 8, 29, 0, 2965, 800), (64, 27, 110, 0, 2742, 2700)]),
