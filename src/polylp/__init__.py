@@ -12,7 +12,7 @@ from .admm_decoder import (
     STATUS_MAX_ITERS,
     decode,
 )
-from .bp_decoder import BpConfig, decode_bp, posterior_llrs
+from .bp_decoder import BpConfig, decode_bp
 from .channels import Awgn, Bsc, ChannelModel, llr, transmit
 from .codes import (
     AlistParseError,
@@ -26,7 +26,6 @@ from .codes import (
 from .dual_ascent import DualAscentConfig, decode_dual_ascent
 from .parity_polytope import (
     ProjectionWorkspace,
-    maximize_linear_batch,
     membership,
     project_batch,
     project_parity_polytope,
@@ -34,7 +33,6 @@ from .parity_polytope import (
 from .simulator import (
     DecoderRef,
     TrialStats,
-    ml_account,
     run_point,
     stats_to_csv,
     sweep,
@@ -65,11 +63,8 @@ __all__ = [
     "gen_regular_ldpc",
     "is_codeword",
     "llr",
-    "maximize_linear_batch",
     "membership",
-    "ml_account",
     "parse_alist",
-    "posterior_llrs",
     "project_batch",
     "project_parity_polytope",
     "run_point",

@@ -233,8 +233,6 @@ def maximize_linear_batch(costs: ArrayLike) -> NDArray[np.int8]:
     pos = c > 0.0
     z = pos.astype(np.int8)
     odd = np.logical_xor.reduce(pos, axis=1).nonzero()[0]
-    if odd.size == 0:
-        return z
     c, pos = c.take(odd, axis=0), pos.take(odd, axis=0)
     up = np.where(pos, c, np.inf)
     down = np.where(pos, -np.inf, c)

@@ -33,12 +33,12 @@ from polylp import (
     DecodeOutput,
     ParityCheckMatrix,
     emit_alist,
-    maximize_linear_batch,
     project_batch,
 )
 from polylp.admm_decoder import make_output
 from polylp.bp_decoder import BpConfig, _check_node_update
 from polylp.codes import check_llrs
+from polylp.parity_polytope import maximize_linear_batch
 
 
 def even_weight_vertices(d: int) -> np.ndarray:

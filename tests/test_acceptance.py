@@ -23,7 +23,6 @@ from polylp import (
     is_codeword,
     llr,
     membership,
-    posterior_llrs,
     project_parity_polytope,
     run_point,
     stats_to_csv,
@@ -31,7 +30,7 @@ from polylp import (
     transmit,
 )
 from polylp import bp_decoder
-from polylp.bp_decoder import BpConfig
+from polylp.bp_decoder import BpConfig, posterior_llrs
 from oracles import (
     codebook,
     even_weight_vertices,

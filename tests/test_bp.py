@@ -11,9 +11,9 @@ from polylp import (
     gen_regular_ldpc,
     is_codeword,
     llr,
-    posterior_llrs,
 )
 from polylp import bp_decoder
+from polylp.bp_decoder import posterior_llrs
 from oracles import (
     check_neighborhoods,
     exact_marginals,

@@ -216,6 +216,8 @@ class TestParseAlist:
         assert check_neighborhoods(code)[0].tolist() == [0, 1]
         assert check_neighborhoods(code)[1].tolist() == [1, 2]
         assert var_neighborhoods(code)[1].tolist() == [0, 1]
+        assert repr(code) == "ParityCheckMatrix(n_vars=3, n_checks=2)"
+        assert (code == 5) is False and (code != "x") is True
 
     def test_round_trip_is_identity(self):
         assert emit_alist(parse_alist(FIXTURE_ALIST)) == FIXTURE_ALIST

@@ -1,5 +1,7 @@
 import itertools
 import math
+from importlib import import_module
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +13,12 @@ from polylp import (
     decode,
     gen_regular_ldpc,
     llr,
-    maximize_linear_batch,
     membership,
     project_batch,
     project_parity_polytope,
 )
 from polylp import admm_decoder
-from polylp.parity_polytope import even_floor
+from polylp.parity_polytope import even_floor, maximize_linear_batch
 from oracles import (
     even_weight_vertices,
     hull_membership,
@@ -37,6 +38,15 @@ def test_public_names_resolve_and_are_listed_once():
     assert len(names) == len(set(names))
     for name in names:
         assert getattr(polylp, name) is not None
+
+
+def test_perfbench_hooks_resolve(monkeypatch):
+    """Every name perfbench imports or hooks still exists in polylp."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    layers = import_module("layers")
+    code = gen_regular_ldpc(12, 3, 6, seed=0)
+    for h in layers.hooks(code):
+        assert callable(getattr(import_module(h.module), h.attr)), f"{h.module}.{h.attr}"
 
 
 @pytest.mark.parametrize("a,want", [(3.7, 2), (4.0, 4), (1.2, 0), (0.0, 0), (-0.5, -2)])

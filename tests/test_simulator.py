@@ -15,7 +15,6 @@ from polylp import (
     STATUS_CONVERGED,
     gen_regular_ldpc,
     llr,
-    ml_account,
     run_point,
     stats_to_csv,
     sweep,
@@ -26,6 +25,7 @@ from polylp.admm_decoder import AdmmConfig, decode
 from polylp.bp_decoder import BpConfig
 from polylp.codes import is_codeword
 from polylp.dual_ascent import DualAscentConfig
+from polylp.simulator import ml_account
 from oracles import codebook, gf2_nullspace, hamming_7_4, interleaved_code
 
 ADMM = DecoderRef("admm")
